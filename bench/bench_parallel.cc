@@ -1,8 +1,9 @@
-// Extension bench — thread-parallel solver variants (src/core/parallel.h).
+// Extension bench — thread scaling of the pooled engines: parallel Det+
+// (src/core/parallel.h) and block and batch Sam (src/core/sam_parallel.h).
 //
-// Det+ parallelizes over Theorem-4 groups, sampling over world chunks;
-// results are bit-identical to the serial path for every thread count
-// (asserted in tests; here we measure the scaling).
+// Det+ parallelizes over Theorem-4 groups, Sam over fixed world blocks;
+// results are bit-identical for every thread count (asserted in tests;
+// here we measure the scaling).
 
 #include "bench_util.h"
 
@@ -31,30 +32,6 @@ void BM_Parallel_DetPlus(benchmark::State& state) {
   }
   state.counters["threads"] = static_cast<double>(threads);
   state.counters["sky_last"] = sky;
-}
-
-void BM_Parallel_AllWorlds(benchmark::State& state) {
-  const std::size_t threads = static_cast<std::size_t>(state.range(0));
-  BlockZipfOptions gen = BlockZipfConfig(1000, 3);
-  gen.block_size = 10;
-  Dataset data = GenerateBlockZipf(gen).value();
-  HashedPreferenceModel base = PaperPreferences();
-  BlockLocalPreferenceModel prefs = BlockPrefs(base);
-  ThreadPool pool(threads);
-  AllWorldsOptions options;
-  options.samples = 2000;
-  options.seed = 7;
-  double checksum = 0.0;
-  for (auto _ : state) {
-    auto all =
-        ParallelEstimateAllSkylineProbabilities(data, prefs, pool, options)
-            .value();
-    checksum = 0.0;
-    for (double estimate : all.estimates) checksum += estimate;
-    Keep(checksum);
-  }
-  state.counters["threads"] = static_cast<double>(threads);
-  state.counters["expected_skyline_objects"] = checksum;
 }
 
 // Sam thread scaling: one target, worlds fanned out in fixed blocks over
@@ -112,9 +89,6 @@ void BM_Parallel_BatchSam(benchmark::State& state) {
 BENCHMARK(BM_Parallel_DetPlus)
     ->Arg(0)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->Iterations(1);
-BENCHMARK(BM_Parallel_AllWorlds)
-    ->Arg(0)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
 BENCHMARK(BM_Parallel_BlockSam)
     ->Arg(0)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->Iterations(1);
@@ -125,9 +99,9 @@ BENCHMARK(BM_Parallel_BatchSam)
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::printf("== Extension: thread scaling of Det+ (per-group), "
-              "all-objects sampling (per-chunk), and block Sam "
-              "(per-world-block); arg = worker threads, 0 = inline ==\n");
+  std::printf("== Extension: thread scaling of Det+ (per-group), block Sam "
+              "and batch Sam (per-world-block); arg = worker threads, "
+              "0 = inline ==\n");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <vector>
 
+#include "src/core/dominance.h"
 #include "src/core/monte_carlo.h"
-#include "src/core/sam_bitslice.h"
 #include "src/core/sam_parallel.h"
 #include "src/util/random.h"
 
@@ -45,6 +45,7 @@ Result<AdaptiveResult> AdaptiveMonteCarloSkylineProbability(
 
   Rng seeder(options.seed);
   MonteCarloOptions batch_options;
+  batch_options.engine = options.engine;
   std::uint64_t successes = 0;
   AdaptiveResult result;
   std::uint64_t batch = options.initial_batch;
@@ -70,10 +71,8 @@ Result<AdaptiveResult> AdaptiveMonteCarloSkylineProbability(
     // is too.
     SKYPREF_ASSIGN_OR_RETURN(
         MonteCarloResult mc,
-        sliced ? BitSlicedMonteCarloSkylineProbability(
-                     data, target, candidates, model, pool, batch_options)
-               : BlockMonteCarloSkylineProbability(data, target, candidates,
-                                                   model, pool, batch_options));
+        PooledMonteCarloSkylineProbability(data, target, candidates, model,
+                                           pool, batch_options));
     successes += mc.skyline_worlds;
     result.samples += mc.samples;
     result.estimate =
@@ -96,13 +95,9 @@ Result<AdaptiveResult> AdaptiveMonteCarloSkylineProbability(
 Result<AdaptiveResult> AdaptiveMonteCarloSkylineProbability(
     const Dataset& data, ObjectId target, const PreferenceModel& model,
     ThreadPool& pool, const AdaptiveOptions& options) {
-  std::vector<ObjectId> candidates;
-  candidates.reserve(data.size() > 0 ? data.size() - 1 : 0);
-  for (ObjectId id = 0; id < data.size(); ++id) {
-    if (id != target) candidates.push_back(id);
-  }
-  return AdaptiveMonteCarloSkylineProbability(data, target, candidates, model,
-                                              pool, options);
+  return AdaptiveMonteCarloSkylineProbability(
+      data, target, AllObjectsExcept(data.size(), target), model, pool,
+      options);
 }
 
 Result<AdaptiveResult> AdaptiveMonteCarloSkylineProbability(

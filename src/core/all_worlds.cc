@@ -4,6 +4,7 @@
 #include <cmath>
 #include <unordered_map>
 
+#include "src/core/monte_carlo.h"
 #include "src/util/hash.h"
 
 namespace skypref {
@@ -11,9 +12,9 @@ namespace skypref {
 std::uint64_t AllWorldsSampleSize(double epsilon, double delta,
                                   std::size_t n) {
   if (epsilon <= 0.0 || delta <= 0.0 || delta >= 1.0 || n == 0) return 0;
-  double m = std::log(2.0 * static_cast<double>(n) / delta) /
-             (2.0 * epsilon * epsilon);
-  return static_cast<std::uint64_t>(std::ceil(m));
+  return internal::SaturatingSampleCount(
+      std::log(2.0 * static_cast<double>(n) / delta) /
+      (2.0 * epsilon * epsilon));
 }
 
 namespace {

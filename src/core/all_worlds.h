@@ -63,7 +63,9 @@ struct AllWorldsResult {
   std::uint64_t pair_draws = 0;
 };
 
-/// Worlds needed for simultaneous epsilon/delta guarantees over n objects.
+/// Worlds needed for simultaneous epsilon/delta guarantees over n objects:
+/// ceil(ln(2n/delta) / (2 epsilon^2)), saturating at UINT64_MAX like
+/// HoeffdingSampleSize; 0 when epsilon/delta are invalid or n == 0.
 std::uint64_t AllWorldsSampleSize(double epsilon, double delta, std::size_t n);
 
 /// Precompiled shared-world sampling plan: a global table of ternary

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <vector>
 
-#include "src/core/absorption.h"
+#include "src/core/dominance.h"
 #include "src/core/lineage_dp.h"
 #include "src/core/exact.h"
-#include "src/core/partition.h"
+#include "src/core/solver.h"
 #include "src/util/kahan.h"
 
 namespace skypref {
@@ -151,26 +151,11 @@ Result<SkylineBounds> BoundedSkylineProbability(const Dataset& data,
                                                 ObjectId target,
                                                 const PreferenceModel& model,
                                                 const BoundsOptions& options) {
-  std::vector<ObjectId> candidates;
-  candidates.reserve(data.size() > 0 ? data.size() - 1 : 0);
-  for (ObjectId id = 0; id < data.size(); ++id) {
-    if (id != target) candidates.push_back(id);
-  }
+  std::vector<ObjectId> candidates = AllObjectsExcept(data.size(), target);
   return BoundedSkylineProbability(data, target, candidates, model, options);
 }
 
 namespace {
-
-std::vector<std::vector<ObjectId>> PreprocessedGroups(const Dataset& data,
-                                                      ObjectId target) {
-  std::vector<ObjectId> candidates;
-  candidates.reserve(data.size() - 1);
-  for (ObjectId id = 0; id < data.size(); ++id) {
-    if (id != target) candidates.push_back(id);
-  }
-  candidates = AbsorbCandidates(data, target, candidates);
-  return PartitionCandidates(data, target, candidates);
-}
 
 Result<SkylineBounds> GroupProductBounds(
     const Dataset& data, ObjectId target,
@@ -201,7 +186,8 @@ Result<SkylineBounds> BoundedSkylineProbabilityPreprocessed(
   if (target >= data.size()) {
     return Status::OutOfRange("target object out of range");
   }
-  return GroupProductBounds(data, target, PreprocessedGroups(data, target),
+  return GroupProductBounds(data, target,
+                            CandidateGroups(data, target, /*preprocess=*/true),
                             model, options);
 }
 
@@ -216,7 +202,8 @@ Result<bool> DecideThreshold(const Dataset& data, ObjectId target,
   if (target >= data.size()) {
     return Status::OutOfRange("target object out of range");
   }
-  std::vector<std::vector<ObjectId>> groups = PreprocessedGroups(data, target);
+  std::vector<std::vector<ObjectId>> groups =
+      CandidateGroups(data, target, /*preprocess=*/true);
 
   // Escalate the bound level until the interval excludes tau.
   for (std::size_t level = 1; level <= options.max_level; ++level) {

@@ -1,5 +1,7 @@
 #include "src/core/brute_force.h"
 
+#include "src/core/dominance.h"
+
 namespace skypref {
 
 Result<double> BruteForceSkylineProbability(const Dataset& data,
@@ -7,11 +9,7 @@ Result<double> BruteForceSkylineProbability(const Dataset& data,
                                             const PreferenceModel& model,
                                             const BruteForceOptions& options,
                                             BruteForceStats* stats) {
-  std::vector<ObjectId> candidates;
-  candidates.reserve(data.size() > 0 ? data.size() - 1 : 0);
-  for (ObjectId id = 0; id < data.size(); ++id) {
-    if (id != target) candidates.push_back(id);
-  }
+  std::vector<ObjectId> candidates = AllObjectsExcept(data.size(), target);
   return BruteForceSkylineProbability(data, target, candidates,
                                       DoubleOracle(model), options, stats);
 }

@@ -12,7 +12,9 @@
 /// least one strictly preferred dimension" requirement is implied because
 /// distinct objects differ somewhere and distinct values are never equal.
 
+#include <cstddef>
 #include <span>
+#include <vector>
 
 #include "src/core/oracles.h"
 #include "src/model/dataset.h"
@@ -42,6 +44,10 @@ typename Oracle::NumType DominanceProbability(const Dataset& data,
 /// Convenience double-precision overload.
 double DominanceProbability(const Dataset& data, ObjectId candidate,
                             ObjectId target, const PreferenceModel& model);
+
+/// Every object id in [0, n) except \p target, ascending: the full
+/// candidate set of a single-target query before preprocessing.
+std::vector<ObjectId> AllObjectsExcept(std::size_t n, ObjectId target);
 
 }  // namespace skypref
 

@@ -2,6 +2,7 @@
 
 #include <numeric>
 
+#include "src/core/dominance.h"
 #include "src/util/check.h"
 
 namespace skypref {
@@ -10,11 +11,7 @@ Result<double> ExactSkylineProbability(const Dataset& data, ObjectId target,
                                        const PreferenceModel& model,
                                        const ExactOptions& options,
                                        ExactStats* stats) {
-  std::vector<ObjectId> candidates;
-  candidates.reserve(data.size() > 0 ? data.size() - 1 : 0);
-  for (ObjectId id = 0; id < data.size(); ++id) {
-    if (id != target) candidates.push_back(id);
-  }
+  std::vector<ObjectId> candidates = AllObjectsExcept(data.size(), target);
   SKYPREF_ASSIGN_OR_RETURN(
       double result,
       ExactSkylineProbability(data, target, candidates, DoubleOracle(model),

@@ -32,11 +32,7 @@ Result<double> IndependentSkylineProbability(
 Result<double> IndependentSkylineProbability(const Dataset& data,
                                              ObjectId target,
                                              const PreferenceModel& model) {
-  std::vector<ObjectId> candidates;
-  candidates.reserve(data.size() > 0 ? data.size() - 1 : 0);
-  for (ObjectId id = 0; id < data.size(); ++id) {
-    if (id != target) candidates.push_back(id);
-  }
+  std::vector<ObjectId> candidates = AllObjectsExcept(data.size(), target);
   return IndependentSkylineProbability(data, target, candidates, model);
 }
 

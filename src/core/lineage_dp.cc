@@ -5,8 +5,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/core/absorption.h"
-#include "src/core/partition.h"
+#include "src/core/solver.h"
 #include "src/util/hash.h"
 
 namespace skypref {
@@ -155,15 +154,10 @@ Result<double> LineageExactWithPreprocessing(const Dataset& data,
   if (target >= data.size()) {
     return Status::OutOfRange("target object out of range");
   }
-  std::vector<ObjectId> candidates;
-  candidates.reserve(data.size() - 1);
-  for (ObjectId id = 0; id < data.size(); ++id) {
-    if (id != target) candidates.push_back(id);
-  }
-  candidates = AbsorbCandidates(data, target, candidates);
   double product = 1.0;
   LineageDpStats combined;
-  for (const auto& group : PartitionCandidates(data, target, candidates)) {
+  for (const auto& group :
+       CandidateGroups(data, target, /*preprocess=*/true)) {
     LineageDpStats group_stats;
     SKYPREF_ASSIGN_OR_RETURN(
         double survival,

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "src/core/dominance.h"
+#include "src/core/sam_internal.h"
 #include "src/util/check.h"
 #include "src/util/failpoint.h"
 #include "src/util/hash.h"
@@ -14,17 +15,26 @@
 
 namespace skypref {
 
-std::uint64_t HoeffdingSampleSize(double epsilon, double delta) {
-  if (epsilon <= 0.0 || delta <= 0.0 || delta >= 1.0) return 0;
-  double m = std::ceil(std::log(2.0 / delta) / (2.0 * epsilon * epsilon));
+namespace internal {
+
+std::uint64_t SaturatingSampleCount(double bound) {
+  const double m = std::ceil(bound);
   // A tiny epsilon (1e-12 gives m ~ 1e24) overflows uint64, and casting
-  // a double at or beyond 2^64 is undefined behavior — saturate instead.
-  // static_cast<double>(UINT64_MAX) rounds up to exactly 2^64, so m below
-  // the limit is guaranteed castable.
+  // a double at or beyond 2^64 (or NaN) is undefined behavior — saturate
+  // instead. static_cast<double>(UINT64_MAX) rounds up to exactly 2^64,
+  // so m below the limit is guaranteed castable.
   constexpr double kLimit =
       static_cast<double>(std::numeric_limits<std::uint64_t>::max());
   if (!(m < kLimit)) return std::numeric_limits<std::uint64_t>::max();
   return static_cast<std::uint64_t>(m);
+}
+
+}  // namespace internal
+
+std::uint64_t HoeffdingSampleSize(double epsilon, double delta) {
+  if (epsilon <= 0.0 || delta <= 0.0 || delta >= 1.0) return 0;
+  return internal::SaturatingSampleCount(std::log(2.0 / delta) /
+                                         (2.0 * epsilon * epsilon));
 }
 
 double HoeffdingEpsilon(std::uint64_t samples, double delta) {
@@ -127,55 +137,17 @@ class WorldSampler {
 Result<MonteCarloResult> MonteCarloSkylineProbability(
     const Dataset& data, ObjectId target, std::span<const ObjectId> candidates,
     const PreferenceModel& model, const MonteCarloOptions& options) {
-  if (target >= data.size()) {
-    return Status::OutOfRange("target object out of range");
-  }
-  for (ObjectId id : candidates) {
-    if (id >= data.size()) {
-      return Status::OutOfRange("candidate object out of range");
-    }
-    if (id == target) {
-      return Status::InvalidArgument(
-          "candidate list must not contain the target object");
-    }
-  }
-  std::uint64_t samples = options.samples != 0
-                              ? options.samples
-                              : HoeffdingSampleSize(options.epsilon,
-                                                    options.delta);
-  if (samples == 0) {
-    return Status::InvalidArgument(
-        "Monte Carlo needs samples > 0 (or valid epsilon/delta)");
-  }
+  // The deadline bounds the loop (one adversarial group could otherwise
+  // pin a worker for the full Hoeffding count); cancellation is polled at
+  // the same cadence.
+  SKYPREF_ASSIGN_OR_RETURN(
+      internal::SamRequest request,
+      internal::PrepareSamRequest(data, target, candidates, model, options,
+                                  MonteCarloOptions::Engine::kSerial));
+  const std::uint64_t samples = request.samples;
+  const Deadline& deadline = request.deadline;
 
-  // Algorithm 2 line 1: sort the checking sequence by dominance
-  // probability, once, shared by all m iterations.
-  std::vector<ObjectId> ordered(candidates.begin(), candidates.end());
-  if (options.sort_by_dominance) {
-    std::vector<std::pair<double, ObjectId>> keyed;
-    keyed.reserve(ordered.size());
-    for (ObjectId id : ordered) {
-      keyed.emplace_back(DominanceProbability(data, id, target, model), id);
-    }
-    std::stable_sort(keyed.begin(), keyed.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first > b.first;
-                     });
-    for (std::size_t i = 0; i < keyed.size(); ++i) ordered[i] = keyed[i].second;
-  }
-
-  // The sampler previously had no time limit at all — one adversarial
-  // group could pin a worker for the full Hoeffding count. One deadline,
-  // resolved like the exact solver's, now bounds the loop; cancellation
-  // is polled at the same cadence.
-  Deadline deadline = options.deadline.has_value()
-                          ? options.deadline
-                          : Deadline::After(options.time_limit_seconds);
-  if (options.cancel != nullptr && options.cancel->cancelled()) {
-    return CancelledStatus();
-  }
-
-  WorldSampler sampler(data, target, ordered, model);
+  WorldSampler sampler(data, target, request.ordered, model);
   Rng rng(options.seed);
   MonteCarloResult result;
   result.requested_samples = samples;
@@ -187,7 +159,6 @@ Result<MonteCarloResult> MonteCarloSkylineProbability(
   // work between polls by the finer unit. Cheap worlds never reach the
   // stride between polls, preserving the historical min(64, samples)
   // floor of truncated runs.
-  constexpr std::uint64_t kPairDrawPollStride = 8192;
   std::uint64_t draws_at_last_poll = 0;
   for (std::uint64_t h = 0; h < samples; ++h) {
     if (sampler.SampleWorld(rng, options.lazy, &result.pair_draws)) {
@@ -197,7 +168,8 @@ Result<MonteCarloResult> MonteCarloSkylineProbability(
     // Poll after sampling, so a truncated run always carries at least
     // one world and the estimate is well-defined.
     if (((drawn & 63) == 0 ||
-         result.pair_draws - draws_at_last_poll >= kPairDrawPollStride) &&
+         result.pair_draws - draws_at_last_poll >=
+             internal::kPairDrawPollStride) &&
         drawn < samples) {
       draws_at_last_poll = result.pair_draws;
       if (options.cancel != nullptr && options.cancel->cancelled()) {
@@ -220,13 +192,8 @@ Result<MonteCarloResult> MonteCarloSkylineProbability(
 Result<MonteCarloResult> MonteCarloSkylineProbability(
     const Dataset& data, ObjectId target, const PreferenceModel& model,
     const MonteCarloOptions& options) {
-  std::vector<ObjectId> candidates;
-  candidates.reserve(data.size() > 0 ? data.size() - 1 : 0);
-  for (ObjectId id = 0; id < data.size(); ++id) {
-    if (id != target) candidates.push_back(id);
-  }
-  return MonteCarloSkylineProbability(data, target, candidates, model,
-                                      options);
+  return MonteCarloSkylineProbability(
+      data, target, AllObjectsExcept(data.size(), target), model, options);
 }
 
 }  // namespace skypref

@@ -107,10 +107,9 @@ struct MonteCarloOptions {
   };
   Engine engine = Engine::kSerial;
 
-  /// Worlds per block of the kBlock and kBitSliced engines. Like
-  /// ParallelOptions::sample_chunks this is part of the NUMERIC
-  /// contract: the estimate depends on (seed, block_size) but never on
-  /// the thread count. Must be >= 1 for the kBlock engine; the
+  /// Worlds per block of the kBlock and kBitSliced engines. Part of the
+  /// NUMERIC contract: the estimate depends on (seed, block_size) but
+  /// never on the thread count. Must be >= 1 for the kBlock engine; the
   /// bit-sliced engine additionally requires a multiple of 64.
   std::uint64_t block_size = 1024;
 };
@@ -146,6 +145,15 @@ std::uint64_t HoeffdingSampleSize(double epsilon, double delta);
 /// bar widens. Returns 1.0 (the vacuous bound) when samples == 0 or
 /// delta is not in (0, 1).
 double HoeffdingEpsilon(std::uint64_t samples, double delta);
+
+namespace internal {
+
+/// ceil(\p bound) as a sample count, saturating at UINT64_MAX when the
+/// bound is at or beyond 2^64 or NaN. Shared by HoeffdingSampleSize and
+/// AllWorldsSampleSize.
+std::uint64_t SaturatingSampleCount(double bound);
+
+}  // namespace internal
 
 /// Estimates sky(target) against the given candidate set.
 Result<MonteCarloResult> MonteCarloSkylineProbability(

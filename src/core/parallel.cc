@@ -1,25 +1,14 @@
 #include "src/core/parallel.h"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <numeric>
-#include <optional>
 #include <span>
-#include <string>
-#include <unordered_map>
 #include <utility>
 
-#include "src/core/absorption.h"
 #include "src/core/exact.h"
-#include "src/core/partition.h"
-#include "src/util/cancel.h"
 #include "src/util/check.h"
-#include "src/util/failpoint.h"
-#include "src/util/hash.h"
-#include "src/util/random.h"
 #include "src/util/try_alloc.h"
 
 namespace skypref {
@@ -52,23 +41,9 @@ Result<double> ParallelExactSkylineProbability(
   if (target >= data.size()) {
     return Status::OutOfRange("target object out of range");
   }
-  std::vector<ObjectId> candidates;
-  candidates.reserve(data.size() - 1);
-  for (ObjectId id = 0; id < data.size(); ++id) {
-    if (id != target) candidates.push_back(id);
-  }
   SolveStats local;
-  local.candidates = candidates.size();
-  candidates = AbsorbCandidates(data, target, candidates);
-  local.after_absorption = candidates.size();
   std::vector<std::vector<ObjectId>> groups =
-      PartitionCandidates(data, target, candidates);
-  local.groups = groups.size();
-  local.group_sizes.reserve(groups.size());
-  for (const auto& group : groups) {
-    local.largest_group = std::max(local.largest_group, group.size());
-    local.group_sizes.push_back(group.size());
-  }
+      CandidateGroups(data, target, /*preprocess=*/true, &local);
 
   // ONE deadline for the whole query. Resolving time_limit_seconds per
   // group solve (the previous behavior) let the total wall time reach
@@ -153,448 +128,6 @@ Result<double> ParallelExactSkylineProbability(
   if (stats != nullptr) *stats = local;
   SKYPREF_DCHECK_PROB(product);
   return ClampProbability(product);
-}
-
-namespace {
-
-/// Packs one (dim, candidate value, target value) preference lookup into
-/// a hashable key; ValueId is 32-bit, so both values fit one uint64.
-using PairKey = std::pair<DimensionId, std::uint64_t>;
-using PairProbCache = std::unordered_map<PairKey, double, PairHash>;
-
-PairKey MakePairKey(DimensionId dim, ValueId a, ValueId b) {
-  return {dim, (static_cast<std::uint64_t>(a) << 32) |
-                   static_cast<std::uint64_t>(b)};
-}
-
-/// Oracle reading the shared precomputed probability table. Entries are
-/// the exact doubles PreferenceModel::LessEq produced, so solves through
-/// this oracle are bit-identical to uncached ones.
-///
-/// Concurrency contract: the cache is built serially in Phase B and is
-/// immutable by the time worker threads read it through this oracle, so
-/// it carries no mutex and no SKYPREF_GUARDED_BY — const-shared, not
-/// lock-protected.
-class CachedDoubleOracle {
- public:
-  using NumType = double;
-
-  explicit CachedDoubleOracle(const PairProbCache& cache) : cache_(&cache) {}
-
-  double LessEq(DimensionId dim, ValueId a, ValueId b) const {
-    auto it = cache_->find(MakePairKey(dim, a, b));
-    SKYPREF_DCHECK(it != cache_->end());
-    return it->second;
-  }
-
- private:
-  const PairProbCache* cache_;
-};
-
-/// Whether a failed target is worth one re-dispatch. Deterministic
-/// failures are not: a blown subset budget or expired deadline fails
-/// identically on retry (the messages below are the exact engines' fixed
-/// strings, src/core/exact.h). Everything else ResourceExhausted —
-/// allocation failure, injected scheduler faults — is transient: the
-/// memory pressure or fault window that killed the first dispatch has
-/// typically passed by the time the batch drains.
-bool TransientFailure(const Status& status) {
-  if (status.code() != StatusCode::kResourceExhausted) return false;
-  const std::string& message = status.message();
-  return message.find("subset budget") == std::string::npos &&
-         message.find("time limit") == std::string::npos;
-}
-
-}  // namespace
-
-Result<std::vector<double>> BatchExactSkylineProbabilities(
-    const Dataset& data, const PreferenceModel& model, ThreadPool& pool,
-    const SolverOptions& options, BatchExactStats* stats) {
-  SKYPREF_RETURN_IF_ERROR(data.Validate());
-  SKYPREF_RETURN_IF_ERROR(model.Validate(data));
-  const std::size_t n = data.size();
-
-  BatchExactStats local;
-  local.targets = n;
-
-  // ONE deadline for the whole batch (see ExactOptions::deadline).
-  ExactOptions exact = options.exact;
-  exact.deadline = internal::ResolveDeadline(exact);
-
-  // Phase A: absorption + partition per target, sharing the global
-  // posting lists; chunked so each worker recycles one workspace. A
-  // target whose workspace allocation fails is marked here and stamped
-  // NaN in Phase C — groups[t].empty() cannot signal the failure because
-  // full absorption legitimately leaves a target with no groups. The
-  // postings outlive Phase A so the retry pass can rebuild a failed
-  // target's partition.
-  std::vector<std::vector<std::vector<ObjectId>>> groups(n);
-  std::vector<Status> statuses(n);
-  std::vector<unsigned char> phase_a_failed(n, 0);
-  std::optional<ValuePostings> postings;
-  if (options.preprocess) {
-    postings.emplace(data);
-    constexpr std::size_t kChunk = 16;
-    const std::size_t chunks = (n + kChunk - 1) / kChunk;
-    pool.ParallelFor(chunks, [&](std::size_t c) {
-      PartitionWorkspace workspace;
-      const std::size_t begin = c * kChunk;
-      const std::size_t end = std::min(n, begin + kChunk);
-      for (ObjectId t = begin; t < end; ++t) {
-        auto built = TryAlloc("alloc.batch.partition", [&] {
-          std::vector<ObjectId> candidates =
-              AbsorbAllCandidatesIndexed(data, t, *postings);
-          return PartitionCandidates(
-              data, t, std::span<const ObjectId>(candidates), workspace);
-        });
-        if (built.ok()) {
-          groups[t] = std::move(built).value();
-        } else {
-          statuses[t] = built.status();
-          phase_a_failed[t] = 1;
-        }
-      }
-    });
-  } else {
-    for (ObjectId t = 0; t < n; ++t) {
-      std::vector<ObjectId> candidates;
-      candidates.reserve(n - 1);
-      for (ObjectId id = 0; id < n; ++id) {
-        if (id != t) candidates.push_back(id);
-      }
-      groups[t].push_back(std::move(candidates));
-    }
-  }
-  for (ObjectId t = 0; t < n; ++t) {
-    if (phase_a_failed[t] != 0) continue;  // no partition to account for
-    std::size_t after = 0;
-    for (const auto& group : groups[t]) {
-      after += group.size();
-      local.largest_group = std::max(local.largest_group, group.size());
-    }
-    local.groups += groups[t].size();
-    local.absorbed += (n - 1) - after;
-  }
-
-  // Phase B: every distinct Pr(q.j <= o.j) any target's pair table needs,
-  // computed once. Serial — these model lookups ARE the work being
-  // deduplicated across targets.
-  PairProbCache cache;
-  DoubleOracle oracle(model);
-  for (ObjectId t = 0; t < n; ++t) {
-    std::span<const ValueId> o = data.object(t);
-    for (const auto& group : groups[t]) {
-      for (ObjectId id : group) {
-        std::span<const ValueId> q = data.object(id);
-        for (DimensionId j = 0; j < data.dimensions(); ++j) {
-          if (q[j] == o[j]) continue;
-          auto [it, inserted] =
-              cache.try_emplace(MakePairKey(j, q[j], o[j]), 0.0);
-          if (inserted) it->second = oracle.LessEq(j, q[j], o[j]);
-        }
-      }
-    }
-  }
-  local.distinct_pair_probs = cache.size();
-
-  // Phase C: per-target solves, largest-work-first so a heavy target
-  // cannot serialize the tail. Work ~ sum over groups of 2^|group|; the
-  // exponent cap just keeps the weights finite.
-  std::vector<double> weight(n, 0.0);
-  for (ObjectId t = 0; t < n; ++t) {
-    for (const auto& group : groups[t]) {
-      // Scheduling heuristic only — never part of a returned probability,
-      // so plain summation is fine here.
-      // skypref-analyze: allow(kahan-discipline)
-      weight[t] += std::ldexp(
-          1.0, static_cast<int>(std::min<std::size_t>(group.size(), 512)));
-    }
-  }
-  std::vector<ObjectId> order(n);
-  std::iota(order.begin(), order.end(), ObjectId{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&weight](ObjectId a, ObjectId b) {
-                     return weight[a] > weight[b];
-                   });
-
-  CachedDoubleOracle cached(cache);
-  std::vector<double> results(n, 1.0);
-  std::vector<std::uint64_t> visited(n, 0);
-  pool.ParallelFor(n, [&](std::size_t k) {
-    const ObjectId t = order[k];
-    // The batch-scheduler failpoint and the cancel poll sit at the
-    // per-target dispatch boundary: one target fails (or the whole
-    // query stops) without touching any other target's solve.
-    if (SKYPREF_FAILPOINT("batch.target")) {
-      statuses[t] = Status::ResourceExhausted("failpoint batch.target");
-      results[t] = std::numeric_limits<double>::quiet_NaN();
-      return;
-    }
-    if (exact.cancel != nullptr && exact.cancel->cancelled()) {
-      statuses[t] = CancelledStatus();
-      results[t] = std::numeric_limits<double>::quiet_NaN();
-      return;
-    }
-    if (!statuses[t].ok()) {
-      // Phase A could not build this target's partition; an empty
-      // groups[t] would silently solve to probability 1.0.
-      results[t] = std::numeric_limits<double>::quiet_NaN();
-      return;
-    }
-    double product = 1.0;
-    Status status;
-    for (const auto& group : groups[t]) {
-      ExactStats exact_stats;
-      auto result = ExactSkylineProbability(
-          data, t, std::span<const ObjectId>(group), cached, exact,
-          &exact_stats);
-      visited[t] += exact_stats.subsets_visited;
-      if (!result.ok()) {
-        status = result.status();
-        break;
-      }
-      SKYPREF_DCHECK_PROB(result.value());
-      product *= result.value();
-    }
-    if (status.ok()) {
-      SKYPREF_DCHECK_PROB(product);
-      results[t] = ClampProbability(product);
-    } else {
-      statuses[t] = status;
-      results[t] = std::numeric_limits<double>::quiet_NaN();
-    }
-  });
-
-  // Retry salvage pass: each target that failed on a TRANSIENT fault
-  // gets ONE serial re-dispatch against the remaining shared deadline
-  // before being stamped NaN for good. Determinism contract:
-  //  * retry order is ascending ObjectId — independent of the
-  //    largest-work-first schedule and of thread count;
-  //  * a salvaged target's value is bit-identical to its fault-free
-  //    value (retries solve through the plain oracle, whose doubles are
-  //    by construction the cache's entries — and a target whose Phase A
-  //    failed has no entries in the cache at all);
-  //  * targets that already succeeded are never touched.
-  if (options.retry_failed_targets) {
-    for (ObjectId t = 0; t < n; ++t) {
-      if (statuses[t].ok() || !TransientFailure(statuses[t])) continue;
-      if (exact.cancel != nullptr && exact.cancel->cancelled()) break;
-      if (exact.deadline.has_value() && exact.deadline.Expired()) break;
-      ++local.retried_targets;
-      // The retry dispatch has its own failpoint so chaos schedules can
-      // fail the salvage itself (a double fault must still stamp NaN
-      // plus a well-formed Status, never a bogus value).
-      if (SKYPREF_FAILPOINT("batch.retry")) {
-        statuses[t] = Status::ResourceExhausted("failpoint batch.retry");
-        continue;
-      }
-      if (phase_a_failed[t] != 0) {
-        auto rebuilt = TryAlloc("alloc.batch.partition", [&] {
-          PartitionWorkspace workspace;
-          std::vector<ObjectId> candidates =
-              AbsorbAllCandidatesIndexed(data, t, *postings);
-          return PartitionCandidates(
-              data, t, std::span<const ObjectId>(candidates), workspace);
-        });
-        if (!rebuilt.ok()) {
-          statuses[t] = rebuilt.status();
-          continue;
-        }
-        groups[t] = std::move(rebuilt).value();
-        phase_a_failed[t] = 0;
-      }
-      double product = 1.0;
-      Status status;
-      for (const auto& group : groups[t]) {
-        ExactStats exact_stats;
-        auto result = ExactSkylineProbability(
-            data, t, std::span<const ObjectId>(group), oracle, exact,
-            &exact_stats);
-        visited[t] += exact_stats.subsets_visited;
-        if (!result.ok()) {
-          status = result.status();
-          break;
-        }
-        SKYPREF_DCHECK_PROB(result.value());
-        product *= result.value();
-      }
-      if (status.ok()) {
-        SKYPREF_DCHECK_PROB(product);
-        results[t] = ClampProbability(product);
-        statuses[t] = Status::OK();
-        ++local.salvaged_targets;
-      } else {
-        statuses[t] = status;
-      }
-    }
-  }
-
-  // A failed target no longer aborts the batch: its slot carries NaN and
-  // its Status lands in stats->target_status, while every target that
-  // finished keeps its bit-identical value. Only cancellation — the
-  // caller abandoning the query — fails the whole call.
-  local.target_status = statuses;
-  for (ObjectId t = 0; t < n; ++t) {
-    if (statuses[t].code() == StatusCode::kCancelled) return statuses[t];
-    if (!statuses[t].ok()) ++local.failed_targets;
-    local.subsets_visited += visited[t];
-  }
-  if (stats != nullptr) *stats = local;
-  return results;
-}
-
-namespace {
-
-/// Splits `total` into `chunks` nearly-equal pieces; piece i gets
-/// total/chunks plus one of the remainder's units.
-std::uint64_t ChunkSize(std::uint64_t total, std::uint32_t chunks,
-                        std::uint32_t index) {
-  std::uint64_t base = total / chunks;
-  return base + (index < total % chunks ? 1 : 0);
-}
-
-}  // namespace
-
-Result<MonteCarloResult> ParallelMonteCarloSkylineProbability(
-    const Dataset& data, ObjectId target, const PreferenceModel& model,
-    ThreadPool& pool, const MonteCarloOptions& options,
-    const ParallelOptions& parallel) {
-  if (parallel.sample_chunks == 0) {
-    return Status::InvalidArgument("need at least one sample chunk");
-  }
-#if defined(SKYPREF_ENABLE_DCHECKS) && SKYPREF_ENABLE_DCHECKS
-  SKYPREF_RETURN_IF_ERROR(model.Validate(data));
-#endif
-  std::uint64_t samples = options.samples != 0
-                              ? options.samples
-                              : HoeffdingSampleSize(options.epsilon,
-                                                    options.delta);
-  if (samples == 0) {
-    return Status::InvalidArgument(
-        "Monte Carlo needs samples > 0 (or valid epsilon/delta)");
-  }
-  const std::uint32_t chunks = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(parallel.sample_chunks, samples));
-
-  // ONE deadline for the whole estimate, shared by every chunk
-  // (mirroring the exact solvers). With a deadline the achieved sample
-  // count depends on wall time, so truncated estimates are reproducible
-  // in distribution but not bit-identical — the untruncated path keeps
-  // the bit-identity contract.
-  MonteCarloOptions shared = options;
-  if (!shared.deadline.has_value()) {
-    shared.deadline = Deadline::After(options.time_limit_seconds);
-  }
-
-  std::vector<MonteCarloResult> partial(chunks);
-  std::vector<Status> statuses(chunks);
-  pool.ParallelFor(chunks, [&](std::size_t c) {
-    MonteCarloOptions chunk_options = shared;
-    chunk_options.samples =
-        ChunkSize(samples, chunks, static_cast<std::uint32_t>(c));
-    // Seed from the chunk index, not the thread: bit-reproducible for
-    // any thread count.
-    chunk_options.seed =
-        HashMix(options.seed ^ (0x9e3779b97f4a7c15ULL * (c + 1)));
-    auto result =
-        MonteCarloSkylineProbability(data, target, model, chunk_options);
-    if (result.ok()) {
-      partial[c] = result.value();
-    } else {
-      statuses[c] = result.status();
-    }
-  });
-
-  MonteCarloResult combined;
-  combined.requested_samples = samples;
-  for (std::uint32_t c = 0; c < chunks; ++c) {
-    SKYPREF_RETURN_IF_ERROR(statuses[c]);
-    SKYPREF_DCHECK(partial[c].skyline_worlds <= partial[c].samples);
-    combined.samples += partial[c].samples;
-    combined.skyline_worlds += partial[c].skyline_worlds;
-    combined.pair_draws += partial[c].pair_draws;
-    combined.truncated = combined.truncated || partial[c].truncated;
-  }
-  SKYPREF_DCHECK(combined.samples <= samples);
-  SKYPREF_DCHECK(combined.truncated || combined.samples == samples);
-  combined.estimate = static_cast<double>(combined.skyline_worlds) /
-                      static_cast<double>(combined.samples);
-  SKYPREF_DCHECK_PROB(combined.estimate);
-  return combined;
-}
-
-Result<AllWorldsResult> ParallelEstimateAllSkylineProbabilities(
-    const Dataset& data, const PreferenceModel& model, ThreadPool& pool,
-    const AllWorldsOptions& options, const ParallelOptions& parallel) {
-  if (parallel.sample_chunks == 0) {
-    return Status::InvalidArgument("need at least one sample chunk");
-  }
-  SKYPREF_RETURN_IF_ERROR(data.Validate());
-  const std::size_t n = data.size();
-  std::uint64_t samples =
-      options.samples != 0
-          ? options.samples
-          : AllWorldsSampleSize(options.epsilon, options.delta, n);
-  if (samples == 0) {
-    return Status::InvalidArgument(
-        "all-worlds estimation needs samples > 0 (or valid epsilon/delta)");
-  }
-  const std::uint32_t chunks = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(parallel.sample_chunks, samples));
-
-  const Deadline deadline = options.deadline.has_value()
-                                ? *options.deadline
-                                : Deadline::After(options.time_limit_seconds);
-
-  // One master plan, cloned per chunk (the per-world memo tables must not
-  // be shared across concurrently sampled worlds).
-  SharedWorldSampler master(data, model);
-  std::vector<std::vector<std::uint64_t>> survived(
-      chunks, std::vector<std::uint64_t>(n, 0));
-  std::vector<std::uint64_t> draws(chunks, 0);
-  std::vector<Status> statuses(chunks, Status::OK());
-  pool.ParallelFor(chunks, [&](std::size_t c) {
-    SharedWorldSampler sampler = master;  // value copy
-    Rng rng(HashMix(options.seed ^ (0xa24baed4963ee407ULL * (c + 1))));
-    std::uint64_t chunk_samples =
-        ChunkSize(samples, chunks, static_cast<std::uint32_t>(c));
-    for (std::uint64_t h = 0; h < chunk_samples; ++h) {
-      // Same 64-world poll cadence as the serial estimator; h == 0 makes
-      // a pre-cancelled token fail at every thread count identically.
-      if ((h & 63) == 0) {
-        Status stop = CheckStop(options.cancel, deadline);
-        if (!stop.ok()) {
-          statuses[c] = std::move(stop);
-          return;
-        }
-      }
-      sampler.NextWorld();
-      for (ObjectId i = 0; i < n; ++i) {
-        if (sampler.Survives(i, rng, &draws[c])) ++survived[c][i];
-      }
-    }
-  });
-  for (std::uint32_t c = 0; c < chunks; ++c) {
-    SKYPREF_RETURN_IF_ERROR(statuses[c]);
-  }
-
-  AllWorldsResult result;
-  result.samples = samples;
-  result.estimates.assign(n, 0.0);
-  for (std::uint32_t c = 0; c < chunks; ++c) {
-    result.pair_draws += draws[c];
-    for (ObjectId i = 0; i < n; ++i) {
-      // Fixed block-order sum of exact integer counts (each < 2^53):
-      // bit-identical at every thread count, no compensation needed.
-      // skypref-analyze: allow(kahan-discipline)
-      result.estimates[i] += static_cast<double>(survived[c][i]);
-    }
-  }
-  for (ObjectId i = 0; i < n; ++i) {
-    result.estimates[i] /= static_cast<double>(samples);
-    SKYPREF_DCHECK_PROB(result.estimates[i]);
-  }
-  return result;
 }
 
 }  // namespace skypref

@@ -5,12 +5,9 @@
 #include <numeric>
 #include <utility>
 
-#include "src/core/absorption.h"
 #include "src/core/exact.h"
 #include "src/core/monte_carlo.h"
 #include "src/core/oracles.h"
-#include "src/core/partition.h"
-#include "src/core/sam_bitslice.h"
 #include "src/core/sam_parallel.h"
 #include "src/util/check.h"
 #include "src/util/random.h"
@@ -71,11 +68,8 @@ Result<GroupReport> RunSampledRung(const Dataset& data, ObjectId target,
                                    ThreadPool& pool, SolveStats& stats) {
   SKYPREF_ASSIGN_OR_RETURN(
       MonteCarloResult mc,
-      mc_options.engine == MonteCarloOptions::Engine::kBitSliced
-          ? BitSlicedMonteCarloSkylineProbability(data, target, group, model,
-                                                  pool, mc_options)
-          : BlockMonteCarloSkylineProbability(data, target, group, model, pool,
-                                              mc_options));
+      PooledMonteCarloSkylineProbability(data, target, group, model, pool,
+                                         mc_options));
   stats.samples_drawn += mc.samples;
   stats.pair_draws += mc.pair_draws;
   GroupReport report;
@@ -142,30 +136,9 @@ Result<ResilientResult> ResilientSkylineProbability(
   // ONE deadline governs every rung of this query.
   Deadline deadline = internal::ResolveDeadline(options.solver.exact);
 
-  std::vector<ObjectId> candidates;
-  candidates.reserve(data.size() - 1);
-  for (ObjectId id = 0; id < data.size(); ++id) {
-    if (id != target) candidates.push_back(id);
-  }
-
   ResilientResult result;
-  result.stats.candidates = candidates.size();
-
-  std::vector<std::vector<ObjectId>> groups;
-  if (options.solver.preprocess) {
-    candidates = AbsorbCandidates(data, target, candidates);
-    groups = PartitionCandidates(data, target, candidates);
-  } else if (!candidates.empty()) {
-    groups.push_back(candidates);
-  }
-  result.stats.after_absorption = candidates.size();
-  result.stats.groups = groups.size();
-  result.stats.group_sizes.reserve(groups.size());
-  for (const auto& group : groups) {
-    result.stats.group_sizes.push_back(group.size());
-    result.stats.largest_group =
-        std::max(result.stats.largest_group, group.size());
-  }
+  std::vector<std::vector<ObjectId>> groups = CandidateGroups(
+      data, target, options.solver.preprocess, &result.stats);
 
   // Rung 1: exact attempt on every group under the shared budget.
   ExactOptions exact_options = options.solver.exact;

@@ -1,15 +1,12 @@
 #include "src/core/sam_bitslice.h"
 
-#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <utility>
 
 #include "src/core/dominance.h"
 #include "src/core/sam_internal.h"
-#include "src/util/check.h"
 #include "src/util/random.h"
 #include "src/util/try_alloc.h"
 
@@ -18,11 +15,7 @@ namespace skypref {
 namespace {
 
 using internal::BatchPlan;
-using internal::BlockOutcome;
-using internal::BlockPrefix;
-using internal::CountedPrefix;
 using internal::FlatSamInstance;
-using internal::RunDeterministicBlocks;
 
 /// Lanes [0, step) of a possibly-partial trailing chunk.
 inline std::uint64_t ValidLanes(std::uint64_t step) {
@@ -205,58 +198,15 @@ Result<MonteCarloResult> BitSlicedMonteCarloSkylineProbability(
     const Dataset& data, ObjectId target, std::span<const ObjectId> candidates,
     const PreferenceModel& model, ThreadPool& pool,
     const MonteCarloOptions& options) {
-  if (target >= data.size()) {
-    return Status::OutOfRange("target object out of range");
-  }
-  for (ObjectId id : candidates) {
-    if (id >= data.size()) {
-      return Status::OutOfRange("candidate object out of range");
-    }
-    if (id == target) {
-      return Status::InvalidArgument(
-          "candidate list must not contain the target object");
-    }
-  }
-  std::uint64_t samples = options.samples != 0
-                              ? options.samples
-                              : HoeffdingSampleSize(options.epsilon,
-                                                    options.delta);
-  if (samples == 0) {
-    return Status::InvalidArgument(
-        "Monte Carlo needs samples > 0 (or valid epsilon/delta)");
-  }
-  if (options.block_size == 0 || options.block_size % 64 != 0) {
-    return Status::InvalidArgument(
-        "bit-sliced engine needs block_size a positive multiple of 64");
-  }
-
-  // Algorithm 2 line 1, shared by every block's chunks.
-  std::vector<ObjectId> ordered(candidates.begin(), candidates.end());
-  if (options.sort_by_dominance) {
-    std::vector<std::pair<double, ObjectId>> keyed;
-    keyed.reserve(ordered.size());
-    for (ObjectId id : ordered) {
-      keyed.emplace_back(DominanceProbability(data, id, target, model), id);
-    }
-    std::stable_sort(keyed.begin(), keyed.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first > b.first;
-                     });
-    for (std::size_t i = 0; i < keyed.size(); ++i) ordered[i] = keyed[i].second;
-  }
-
-  Deadline deadline = options.deadline.has_value()
-                          ? options.deadline
-                          : Deadline::After(options.time_limit_seconds);
-  if (options.cancel != nullptr && options.cancel->cancelled()) {
-    return CancelledStatus();
-  }
-
+  SKYPREF_ASSIGN_OR_RETURN(
+      internal::SamRequest request,
+      internal::PrepareSamRequest(data, target, candidates, model, options,
+                                  MonteCarloOptions::Engine::kBitSliced));
   SKYPREF_ASSIGN_OR_RETURN(FlatSamInstance inst,
                            TryAlloc("alloc.sam.instance", [&] {
                              return PruneImpossible(
-                                 internal::BuildFlatSamInstance(data, target,
-                                                                ordered, model));
+                                 internal::BuildFlatSamInstance(
+                                     data, target, request.ordered, model));
                            }));
   // The per-block mask-memo arenas are allocated inside worker dispatch,
   // where no Status can surface; probe the allocation once up front so
@@ -266,103 +216,47 @@ Result<MonteCarloResult> BitSlicedMonteCarloSkylineProbability(
                           [&] { return SliceState(inst.pair_count()); });
     SKYPREF_RETURN_IF_ERROR(probe.status());
   }
-  const std::uint64_t num_blocks =
-      (samples + options.block_size - 1) / options.block_size;
-  std::vector<std::uint64_t> survived(num_blocks, 0);
-  std::vector<BlockOutcome> outcomes;
   const bool lazy = options.lazy;
-  SKYPREF_RETURN_IF_ERROR(RunDeterministicBlocks(
-      pool, samples, options.block_size, /*chunk=*/64, options.seed, deadline,
-      options.cancel, outcomes, [&](std::uint64_t b) {
-        return [&inst, &survived, b, lazy,
-                state = SliceState(inst.pair_count())](
-                   Rng& rng, std::uint64_t step, std::uint64_t* draws) mutable {
-          survived[b] += static_cast<std::uint64_t>(std::popcount(
-              SampleChunk(inst, state, rng, lazy, ValidLanes(step), draws)));
-        };
-      }));
-
-  const BlockPrefix prefix = CountedPrefix(outcomes);
-  MonteCarloResult result;
-  result.requested_samples = samples;
-  result.truncated = prefix.truncated;
-  for (std::uint64_t b = 0; b < prefix.end; ++b) {
-    result.samples += outcomes[b].achieved;
-    result.pair_draws += outcomes[b].draws;
-    result.skyline_worlds += survived[b];
-  }
-  result.estimate = static_cast<double>(result.skyline_worlds) /
-                    static_cast<double>(result.samples);
-  SKYPREF_DCHECK(result.skyline_worlds <= result.samples);
-  SKYPREF_DCHECK_PROB(result.estimate);
-  return result;
+  return internal::RunSamBlocks(pool, request, options, /*chunk=*/64, [&] {
+    return [&inst, lazy, state = SliceState(inst.pair_count())](
+               Rng& rng, std::uint64_t step,
+               std::uint64_t* draws) mutable -> std::uint64_t {
+      return static_cast<std::uint64_t>(std::popcount(
+          SampleChunk(inst, state, rng, lazy, ValidLanes(step), draws)));
+    };
+  });
 }
 
 Result<MonteCarloResult> BitSlicedMonteCarloSkylineProbability(
     const Dataset& data, ObjectId target, const PreferenceModel& model,
     ThreadPool& pool, const MonteCarloOptions& options) {
-  std::vector<ObjectId> candidates;
-  candidates.reserve(data.size() > 0 ? data.size() - 1 : 0);
-  for (ObjectId id = 0; id < data.size(); ++id) {
-    if (id != target) candidates.push_back(id);
-  }
-  return BitSlicedMonteCarloSkylineProbability(data, target, candidates, model,
-                                               pool, options);
+  return BitSlicedMonteCarloSkylineProbability(
+      data, target, AllObjectsExcept(data.size(), target), model, pool,
+      options);
 }
 
 // -------------------------------------------------------------------------
 // Batch engine
 // -------------------------------------------------------------------------
 
-Result<std::vector<double>> BitSlicedBatchMonteCarloSkylineProbabilities(
-    const Dataset& data, const PreferenceModel& model, ThreadPool& pool,
-    const SolverOptions& options, BatchSamStats* stats) {
-  SKYPREF_RETURN_IF_ERROR(data.Validate());
-  SKYPREF_RETURN_IF_ERROR(model.Validate(data));
-  const std::size_t n = data.size();
-  const MonteCarloOptions& mc = options.monte_carlo;
-  std::uint64_t samples = mc.samples != 0
-                              ? mc.samples
-                              : HoeffdingSampleSize(mc.epsilon, mc.delta);
-  if (samples == 0) {
-    return Status::InvalidArgument(
-        "Monte Carlo needs samples > 0 (or valid epsilon/delta)");
-  }
-  if (mc.block_size == 0 || mc.block_size % 64 != 0) {
-    return Status::InvalidArgument(
-        "bit-sliced engine needs block_size a positive multiple of 64");
-  }
-  Deadline deadline = mc.deadline.has_value()
-                          ? mc.deadline
-                          : Deadline::After(mc.time_limit_seconds);
-  if (mc.cancel != nullptr && mc.cancel->cancelled()) {
-    return CancelledStatus();
-  }
+namespace internal {
 
-  BatchSamStats local;
-  local.requested_samples = samples;
-  SKYPREF_ASSIGN_OR_RETURN(
-      BatchPlan plan, TryAlloc("alloc.sam.batch_plan", [&] {
-        return internal::BuildBatchPlan(data, model, pool, options, local);
-      }));
+Result<std::vector<double>> RunBitSlicedBatch(ThreadPool& pool,
+                                              BatchSamRun& run,
+                                              const MonteCarloOptions& mc,
+                                              BatchSamStats* stats) {
   // Same up-front probe as the single-target engine: the per-block
   // arenas themselves are built where no Status can surface.
+  const BatchPlan& plan = run.plan;
   {
     auto probe = TryAlloc("alloc.sam.slice_arena",
                           [&] { return BatchSliceState(plan.pair_count()); });
     SKYPREF_RETURN_IF_ERROR(probe.status());
   }
-
-  const std::uint64_t num_blocks =
-      (samples + mc.block_size - 1) / mc.block_size;
-  std::vector<std::vector<std::uint64_t>> survived(
-      num_blocks, std::vector<std::uint64_t>(n, 0));
-  std::vector<BlockOutcome> outcomes;
-  SKYPREF_RETURN_IF_ERROR(RunDeterministicBlocks(
-      pool, samples, mc.block_size, /*chunk=*/64, mc.seed, deadline, mc.cancel,
-      outcomes, [&](std::uint64_t b) {
-        return [&plan, counts = survived[b].data(), n,
-                state = BatchSliceState(plan.pair_count())](
+  const std::size_t n = run.stats.targets;
+  return RunBatchSamBlocks(
+      pool, run, mc, /*chunk=*/64, stats, [&](std::uint64_t* counts) {
+        return [&plan, counts, n, state = BatchSliceState(plan.pair_count())](
                    Rng& rng, std::uint64_t step, std::uint64_t* draws) mutable {
           ++state.epoch;
           const std::uint64_t valid = ValidLanes(step);
@@ -371,24 +265,9 @@ Result<std::vector<double>> BitSlicedBatchMonteCarloSkylineProbabilities(
                 BatchChunkSurvivors(plan, state, t, rng, valid, draws)));
           }
         };
-      }));
-
-  const BlockPrefix prefix = CountedPrefix(outcomes);
-  local.truncated = prefix.truncated;
-  for (std::uint64_t b = 0; b < prefix.end; ++b) {
-    local.samples += outcomes[b].achieved;
-    local.pair_draws += outcomes[b].draws;
-  }
-  std::vector<double> estimates(n, 0.0);
-  for (ObjectId t = 0; t < n; ++t) {
-    std::uint64_t hits = 0;
-    for (std::uint64_t b = 0; b < prefix.end; ++b) hits += survived[b][t];
-    estimates[t] =
-        static_cast<double>(hits) / static_cast<double>(local.samples);
-    SKYPREF_DCHECK_PROB(estimates[t]);
-  }
-  if (stats != nullptr) *stats = local;
-  return estimates;
+      });
 }
+
+}  // namespace internal
 
 }  // namespace skypref

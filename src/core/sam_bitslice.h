@@ -30,8 +30,10 @@
 /// sharing a value pair see the same sampled orientation in every
 /// world) and, in lazy mode, a pair's eight masks are generated only
 /// when a candidate whose accumulated AND is still alive first touches
-/// the pair during the superchunk. The batch estimator draws its
-/// ternary orientation masks per chunk via NextTernaryWords.
+/// the pair during the superchunk. With engine == kBitSliced,
+/// BatchMonteCarloSkylineProbabilities (sam_parallel.h) keeps the scalar
+/// batch plan but draws each ternary pair as two mutually exclusive
+/// masks per chunk (NextTernaryWords), shared by every target.
 /// pair_draws counts 64 per mask GENERATED (512 per wide call, even
 /// for a trailing superchunk that uses fewer chunks): the number of
 /// world-pair outcomes materialized, comparable with the scalar
@@ -53,7 +55,6 @@
 
 #include "src/core/monte_carlo.h"
 #include "src/core/sam_parallel.h"
-#include "src/core/solver.h"
 #include "src/model/dataset.h"
 #include "src/model/preference_model.h"
 #include "src/model/types.h"
@@ -76,19 +77,6 @@ Result<MonteCarloResult> BitSlicedMonteCarloSkylineProbability(
 Result<MonteCarloResult> BitSlicedMonteCarloSkylineProbability(
     const Dataset& data, ObjectId target, const PreferenceModel& model,
     ThreadPool& pool, const MonteCarloOptions& options = {});
-
-/// The bit-sliced batch estimator: same plan (absorption, partition,
-/// interned ternary pair table, dominance-sorted candidates) as
-/// BatchMonteCarloSkylineProbabilities, but each distinct (dim, lo, hi)
-/// orientation variable is sampled as TWO masks per 64-world chunk —
-/// lo-beats-hi and hi-beats-lo, mutually exclusive by construction
-/// (NextTernaryWords) — shared by every target of the batch.
-/// BatchMonteCarloSkylineProbabilities dispatches here when
-/// options.monte_carlo.engine == kBitSliced; calling this directly
-/// ignores the engine field.
-Result<std::vector<double>> BitSlicedBatchMonteCarloSkylineProbabilities(
-    const Dataset& data, const PreferenceModel& model, ThreadPool& pool,
-    const SolverOptions& options = {}, BatchSamStats* stats = nullptr);
 
 }  // namespace skypref
 

@@ -5,13 +5,89 @@
 #include <utility>
 
 #include "src/core/absorption.h"
+#include "src/core/dominance.h"
 #include "src/core/partition.h"
-#include "src/core/sam_parallel.h"
 #include "src/util/check.h"
 #include "src/util/hash.h"
+#include "src/util/try_alloc.h"
 
 namespace skypref {
 namespace internal {
+
+namespace {
+
+/// The sample count, block-size rule, deadline and pre-cancel check that
+/// the single-target and batch front ends share.
+Status ResolveSampling(const MonteCarloOptions& options,
+                       MonteCarloOptions::Engine engine,
+                       std::uint64_t& samples, Deadline& deadline) {
+  samples = options.samples != 0
+                ? options.samples
+                : HoeffdingSampleSize(options.epsilon, options.delta);
+  if (samples == 0) {
+    return Status::InvalidArgument(
+        "Monte Carlo needs samples > 0 (or valid epsilon/delta)");
+  }
+  using Engine = MonteCarloOptions::Engine;
+  if (engine == Engine::kBlock && options.block_size == 0) {
+    return Status::InvalidArgument("block engine needs block_size >= 1");
+  }
+  if (engine == Engine::kBitSliced &&
+      (options.block_size == 0 || options.block_size % 64 != 0)) {
+    return Status::InvalidArgument(
+        "bit-sliced engine needs block_size a positive multiple of 64");
+  }
+  deadline = options.deadline.has_value()
+                 ? options.deadline
+                 : Deadline::After(options.time_limit_seconds);
+  if (options.cancel != nullptr && options.cancel->cancelled()) {
+    return CancelledStatus();
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<SamRequest> PrepareSamRequest(const Dataset& data, ObjectId target,
+                                     std::span<const ObjectId> candidates,
+                                     const PreferenceModel& model,
+                                     const MonteCarloOptions& options,
+                                     MonteCarloOptions::Engine engine) {
+  if (target >= data.size()) {
+    return Status::OutOfRange("target object out of range");
+  }
+  for (ObjectId id : candidates) {
+    if (id >= data.size()) {
+      return Status::OutOfRange("candidate object out of range");
+    }
+    if (id == target) {
+      return Status::InvalidArgument(
+          "candidate list must not contain the target object");
+    }
+  }
+  SamRequest request;
+  SKYPREF_RETURN_IF_ERROR(
+      ResolveSampling(options, engine, request.samples, request.deadline));
+
+  // Algorithm 2 line 1: sort the checking sequence by dominance
+  // probability, once, shared by every world.
+  request.ordered.assign(candidates.begin(), candidates.end());
+  if (options.sort_by_dominance) {
+    std::vector<std::pair<double, ObjectId>> keyed;
+    keyed.reserve(request.ordered.size());
+    for (ObjectId id : request.ordered) {
+      keyed.emplace_back(DominanceProbability(data, id, target, model), id);
+    }
+    std::stable_sort(keyed.begin(), keyed.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first > b.first;
+                     });
+    for (std::size_t i = 0; i < keyed.size(); ++i) {
+      request.ordered[i] = keyed[i].second;
+    }
+  }
+  return request;
+}
 
 FlatSamInstance BuildFlatSamInstance(const Dataset& data, ObjectId target,
                                      std::span<const ObjectId> candidates,
@@ -65,8 +141,8 @@ struct TernaryPairKeyHash {
   }
 };
 
-}  // namespace
-
+/// Phases A+B of both batch samplers; fills the preprocessing fields of
+/// \p stats.
 BatchPlan BuildBatchPlan(const Dataset& data, const PreferenceModel& model,
                          ThreadPool& pool, const SolverOptions& options,
                          BatchSamStats& stats) {
@@ -96,12 +172,7 @@ BatchPlan BuildBatchPlan(const Dataset& data, const PreferenceModel& model,
     });
   } else {
     for (ObjectId t = 0; t < n; ++t) {
-      std::vector<ObjectId> candidates;
-      candidates.reserve(n - 1);
-      for (ObjectId id = 0; id < n; ++id) {
-        if (id != t) candidates.push_back(id);
-      }
-      groups[t].push_back(std::move(candidates));
+      groups[t].push_back(AllObjectsExcept(n, t));
     }
   }
   for (ObjectId t = 0; t < n; ++t) {
@@ -188,6 +259,26 @@ BatchPlan BuildBatchPlan(const Dataset& data, const PreferenceModel& model,
   }
   stats.distinct_pairs = plan.pair_count();
   return plan;
+}
+
+}  // namespace
+
+Result<BatchSamRun> PrepareBatchSam(const Dataset& data,
+                                    const PreferenceModel& model,
+                                    ThreadPool& pool,
+                                    const SolverOptions& options,
+                                    MonteCarloOptions::Engine engine) {
+  SKYPREF_RETURN_IF_ERROR(data.Validate());
+  SKYPREF_RETURN_IF_ERROR(model.Validate(data));
+  BatchSamRun run;
+  SKYPREF_RETURN_IF_ERROR(ResolveSampling(options.monte_carlo, engine,
+                                          run.samples, run.deadline));
+  run.stats.requested_samples = run.samples;
+  SKYPREF_ASSIGN_OR_RETURN(run.plan, TryAlloc("alloc.sam.batch_plan", [&] {
+                             return BuildBatchPlan(data, model, pool, options,
+                                                   run.stats);
+                           }));
+  return run;
 }
 
 }  // namespace internal

@@ -2,15 +2,18 @@
 #define SKYPREF_CORE_SAM_INTERNAL_H_
 
 /// \file
-/// Shared plumbing of the Monte-Carlo engines (kBlock in sam_parallel.cc,
-/// kBitSliced in sam_bitslice.cc): the flattened single-target instance,
-/// the interned ternary batch plan, and the block-deterministic runner
-/// that gives every engine the same seeding/truncation contract.
+/// Shared plumbing of the Monte-Carlo engines (kSerial in monte_carlo.cc,
+/// kBlock in sam_parallel.cc, kBitSliced in sam_bitslice.cc): the one
+/// request front end every engine starts from, the flattened
+/// single-target instance, the interned ternary batch plan, and the
+/// block-deterministic runner and block-prefix reductions that give the
+/// pooled engines the same seeding/truncation contract.
 ///
-/// Everything here is an implementation detail exposed only so the two
+/// Everything here is an implementation detail exposed only so the
 /// engine translation units (and their tests) can share one copy of the
-/// numeric contract instead of drifting apart. The determinism rules are
-/// documented on the public headers (sam_parallel.h, sam_bitslice.h).
+/// request handling and the numeric contract instead of drifting apart.
+/// The determinism rules are documented on the public headers
+/// (sam_parallel.h, sam_bitslice.h).
 
 #include <algorithm>
 #include <atomic>
@@ -20,25 +23,47 @@
 #include <vector>
 
 #include "src/core/monte_carlo.h"
+#include "src/core/sam_parallel.h"
 #include "src/core/solver.h"
 #include "src/model/dataset.h"
 #include "src/model/preference_model.h"
 #include "src/model/types.h"
 #include "src/util/cancel.h"
+#include "src/util/check.h"
 #include "src/util/failpoint.h"
 #include "src/util/random.h"
 #include "src/util/status.h"
 #include "src/util/thread_pool.h"
 
 namespace skypref {
-
-struct BatchSamStats;  // sam_parallel.h
-
 namespace internal {
 
-/// Same poll cadence as the serial engine (monte_carlo.cc): every 64
-/// worlds or every this many pair draws, whichever comes first.
+/// Poll cadence of every engine's world loop: every 64 worlds or every
+/// this many pair draws, whichever comes first.
 inline constexpr std::uint64_t kPairDrawPollStride = 8192;
+
+// -------------------------------------------------------------------------
+// Request handling
+// -------------------------------------------------------------------------
+
+/// A validated single-target Sam request.
+struct SamRequest {
+  std::uint64_t samples = 0;       // options.samples, or the Hoeffding count
+  std::vector<ObjectId> ordered;   // checking sequence (Algorithm 2 line 1)
+  Deadline deadline;               // one deadline for the whole estimate
+};
+
+/// The front end of the three single-target engines, each naming itself
+/// as \p engine. In order: target and candidate checks (OutOfRange;
+/// InvalidArgument for the target itself), the sample count and the
+/// engine's block-size rule (InvalidArgument; kBlock needs >= 1,
+/// kBitSliced a positive multiple of 64), the deadline, the pre-cancel
+/// check (Cancelled), then the dominance-sorted checking sequence.
+Result<SamRequest> PrepareSamRequest(const Dataset& data, ObjectId target,
+                                     std::span<const ObjectId> candidates,
+                                     const PreferenceModel& model,
+                                     const MonteCarloOptions& options,
+                                     MonteCarloOptions::Engine engine);
 
 // -------------------------------------------------------------------------
 // The flattened single-target instance
@@ -87,16 +112,30 @@ struct BatchPlan {
   std::size_t pair_count() const { return cut_lo.size(); }
 };
 
-/// Phases A+B of both batch samplers: absorption + partition per target
-/// (over \p pool, honoring options.preprocess) and the serial interning
-/// pass that builds the shared ternary pair table. Fills the
-/// preprocessing fields of \p stats (targets, absorbed, groups,
-/// largest_group, distinct_pairs, pruned_candidates); the world-loop
-/// fields (samples, pair_draws, truncated, requested_samples) stay
-/// untouched for the caller's phase C.
-BatchPlan BuildBatchPlan(const Dataset& data, const PreferenceModel& model,
-                         ThreadPool& pool, const SolverOptions& options,
-                         BatchSamStats& stats);
+/// A validated and planned batch Sam query, ready for its world loop.
+struct BatchSamRun {
+  std::uint64_t samples = 0;
+  Deadline deadline;
+  BatchPlan plan;
+  BatchSamStats stats;  // preprocessing fields and requested_samples
+};
+
+/// The front end of both batch engines: data and model validation, the
+/// checks of PrepareSamRequest from the sample count on, then the plan —
+/// absorption + partition per target over \p pool (honoring
+/// options.preprocess) and the serial interning of the shared ternary
+/// pair table.
+Result<BatchSamRun> PrepareBatchSam(const Dataset& data,
+                                    const PreferenceModel& model,
+                                    ThreadPool& pool,
+                                    const SolverOptions& options,
+                                    MonteCarloOptions::Engine engine);
+
+/// The bit-sliced batch world loop (sam_bitslice.cc) over a prepared run.
+Result<std::vector<double>> RunBitSlicedBatch(ThreadPool& pool,
+                                              BatchSamRun& run,
+                                              const MonteCarloOptions& mc,
+                                              BatchSamStats* stats);
 
 // -------------------------------------------------------------------------
 // The block-deterministic runner
@@ -218,6 +257,88 @@ Status RunDeterministicBlocks(ThreadPool& pool, std::uint64_t samples,
 
   if (cancelled.load(std::memory_order_relaxed)) return CancelledStatus();
   return Status::OK();
+}
+
+/// Runs a prepared single-target request over \p pool in deterministic
+/// blocks and reduces the counted prefix. `make_world()` builds one
+/// block's world closure, called as (rng, step, &draws) and returning
+/// how many of the `step` worlds it just sampled the target survived.
+template <typename MakeWorldFn>
+Result<MonteCarloResult> RunSamBlocks(ThreadPool& pool,
+                                      const SamRequest& request,
+                                      const MonteCarloOptions& options,
+                                      std::uint64_t chunk,
+                                      MakeWorldFn&& make_world) {
+  const std::uint64_t num_blocks =
+      (request.samples + options.block_size - 1) / options.block_size;
+  std::vector<std::uint64_t> survived(num_blocks, 0);
+  std::vector<BlockOutcome> outcomes;
+  SKYPREF_RETURN_IF_ERROR(RunDeterministicBlocks(
+      pool, request.samples, options.block_size, chunk, options.seed,
+      request.deadline, options.cancel, outcomes, [&](std::uint64_t b) {
+        return [world = make_world(), hits = &survived[b]](
+                   Rng& rng, std::uint64_t step,
+                   std::uint64_t* draws) mutable {
+          *hits += world(rng, step, draws);
+        };
+      }));
+
+  const BlockPrefix prefix = CountedPrefix(outcomes);
+  MonteCarloResult result;
+  result.requested_samples = request.samples;
+  result.truncated = prefix.truncated;
+  for (std::uint64_t b = 0; b < prefix.end; ++b) {
+    result.samples += outcomes[b].achieved;
+    result.pair_draws += outcomes[b].draws;
+    result.skyline_worlds += survived[b];
+  }
+  result.estimate = static_cast<double>(result.skyline_worlds) /
+                    static_cast<double>(result.samples);
+  SKYPREF_DCHECK(result.skyline_worlds <= result.samples);
+  SKYPREF_DCHECK_PROB(result.estimate);
+  return result;
+}
+
+/// Runs a prepared batch over \p pool in deterministic blocks and
+/// reduces the counted prefix into per-target estimates (run.stats,
+/// copied to \p stats when non-null). `make_world(counts)` builds one
+/// block's world closure, called as (rng, step, &draws), which adds each
+/// target's surviving worlds among the `step` just sampled to
+/// counts[target].
+template <typename MakeWorldFn>
+Result<std::vector<double>> RunBatchSamBlocks(ThreadPool& pool,
+                                              BatchSamRun& run,
+                                              const MonteCarloOptions& mc,
+                                              std::uint64_t chunk,
+                                              BatchSamStats* stats,
+                                              MakeWorldFn&& make_world) {
+  const std::size_t n = run.stats.targets;
+  const std::uint64_t num_blocks =
+      (run.samples + mc.block_size - 1) / mc.block_size;
+  std::vector<std::vector<std::uint64_t>> survived(
+      num_blocks, std::vector<std::uint64_t>(n, 0));
+  std::vector<BlockOutcome> outcomes;
+  SKYPREF_RETURN_IF_ERROR(RunDeterministicBlocks(
+      pool, run.samples, mc.block_size, chunk, mc.seed, run.deadline,
+      mc.cancel, outcomes,
+      [&](std::uint64_t b) { return make_world(survived[b].data()); }));
+
+  const BlockPrefix prefix = CountedPrefix(outcomes);
+  run.stats.truncated = prefix.truncated;
+  for (std::uint64_t b = 0; b < prefix.end; ++b) {
+    run.stats.samples += outcomes[b].achieved;
+    run.stats.pair_draws += outcomes[b].draws;
+  }
+  std::vector<double> estimates(n, 0.0);
+  for (ObjectId t = 0; t < n; ++t) {
+    std::uint64_t hits = 0;
+    for (std::uint64_t b = 0; b < prefix.end; ++b) hits += survived[b][t];
+    estimates[t] =
+        static_cast<double>(hits) / static_cast<double>(run.stats.samples);
+    SKYPREF_DCHECK_PROB(estimates[t]);
+  }
+  if (stats != nullptr) *stats = run.stats;
+  return estimates;
 }
 
 }  // namespace internal

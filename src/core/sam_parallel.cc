@@ -1,13 +1,10 @@
 #include "src/core/sam_parallel.h"
 
-#include <algorithm>
 #include <cstddef>
-#include <utility>
 
 #include "src/core/dominance.h"
 #include "src/core/sam_bitslice.h"
 #include "src/core/sam_internal.h"
-#include "src/util/check.h"
 #include "src/util/random.h"
 #include "src/util/try_alloc.h"
 
@@ -16,11 +13,7 @@ namespace skypref {
 namespace {
 
 using internal::BatchPlan;
-using internal::BlockOutcome;
-using internal::BlockPrefix;
-using internal::CountedPrefix;
 using internal::FlatSamInstance;
-using internal::RunDeterministicBlocks;
 
 // -------------------------------------------------------------------------
 // Layer 1: the flat sampler (instance built by sam_internal.cc)
@@ -88,96 +81,41 @@ Result<MonteCarloResult> BlockMonteCarloSkylineProbability(
     const Dataset& data, ObjectId target, std::span<const ObjectId> candidates,
     const PreferenceModel& model, ThreadPool& pool,
     const MonteCarloOptions& options) {
-  if (target >= data.size()) {
-    return Status::OutOfRange("target object out of range");
-  }
-  for (ObjectId id : candidates) {
-    if (id >= data.size()) {
-      return Status::OutOfRange("candidate object out of range");
-    }
-    if (id == target) {
-      return Status::InvalidArgument(
-          "candidate list must not contain the target object");
-    }
-  }
-  std::uint64_t samples = options.samples != 0
-                              ? options.samples
-                              : HoeffdingSampleSize(options.epsilon,
-                                                    options.delta);
-  if (samples == 0) {
-    return Status::InvalidArgument(
-        "Monte Carlo needs samples > 0 (or valid epsilon/delta)");
-  }
-  if (options.block_size == 0) {
-    return Status::InvalidArgument("block engine needs block_size >= 1");
-  }
-
-  // Algorithm 2 line 1, shared by every block's worlds.
-  std::vector<ObjectId> ordered(candidates.begin(), candidates.end());
-  if (options.sort_by_dominance) {
-    std::vector<std::pair<double, ObjectId>> keyed;
-    keyed.reserve(ordered.size());
-    for (ObjectId id : ordered) {
-      keyed.emplace_back(DominanceProbability(data, id, target, model), id);
-    }
-    std::stable_sort(keyed.begin(), keyed.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first > b.first;
-                     });
-    for (std::size_t i = 0; i < keyed.size(); ++i) ordered[i] = keyed[i].second;
-  }
-
-  Deadline deadline = options.deadline.has_value()
-                          ? options.deadline
-                          : Deadline::After(options.time_limit_seconds);
-  if (options.cancel != nullptr && options.cancel->cancelled()) {
-    return CancelledStatus();
-  }
-
+  SKYPREF_ASSIGN_OR_RETURN(
+      internal::SamRequest request,
+      internal::PrepareSamRequest(data, target, candidates, model, options,
+                                  MonteCarloOptions::Engine::kBlock));
   SKYPREF_ASSIGN_OR_RETURN(FlatSamInstance inst,
                            TryAlloc("alloc.sam.instance", [&] {
                              return internal::BuildFlatSamInstance(
-                                 data, target, ordered, model);
+                                 data, target, request.ordered, model);
                            }));
-  const std::uint64_t num_blocks =
-      (samples + options.block_size - 1) / options.block_size;
-  std::vector<std::uint64_t> survived(num_blocks, 0);
-  std::vector<BlockOutcome> outcomes;
   const bool lazy = options.lazy;
-  SKYPREF_RETURN_IF_ERROR(RunDeterministicBlocks(
-      pool, samples, options.block_size, /*chunk=*/1, options.seed, deadline,
-      options.cancel, outcomes, [&](std::uint64_t b) {
-        return [&inst, &survived, b, lazy,
-                state = SamWorldState(inst.pair_count())](
-                   Rng& rng, std::uint64_t step, std::uint64_t* draws) mutable {
-          (void)step;  // chunk = 1: exactly one world per call
-          if (SampleFlatWorld(inst, state, rng, lazy, draws)) ++survived[b];
-        };
-      }));
-
-  const BlockPrefix prefix = CountedPrefix(outcomes);
-  MonteCarloResult result;
-  result.requested_samples = samples;
-  result.truncated = prefix.truncated;
-  for (std::uint64_t b = 0; b < prefix.end; ++b) {
-    result.samples += outcomes[b].achieved;
-    result.pair_draws += outcomes[b].draws;
-    result.skyline_worlds += survived[b];
-  }
-  result.estimate = static_cast<double>(result.skyline_worlds) /
-                    static_cast<double>(result.samples);
-  SKYPREF_DCHECK(result.skyline_worlds <= result.samples);
-  SKYPREF_DCHECK_PROB(result.estimate);
-  return result;
+  return internal::RunSamBlocks(pool, request, options, /*chunk=*/1, [&] {
+    return [&inst, lazy, state = SamWorldState(inst.pair_count())](
+               Rng& rng, std::uint64_t step,
+               std::uint64_t* draws) mutable -> std::uint64_t {
+      (void)step;  // chunk = 1: exactly one world per call
+      return SampleFlatWorld(inst, state, rng, lazy, draws) ? 1 : 0;
+    };
+  });
 }
 
 Result<MonteCarloResult> BlockMonteCarloSkylineProbability(
     const Dataset& data, ObjectId target, const PreferenceModel& model,
     ThreadPool& pool, const MonteCarloOptions& options) {
-  std::vector<ObjectId> candidates;
-  candidates.reserve(data.size() > 0 ? data.size() - 1 : 0);
-  for (ObjectId id = 0; id < data.size(); ++id) {
-    if (id != target) candidates.push_back(id);
+  return BlockMonteCarloSkylineProbability(
+      data, target, AllObjectsExcept(data.size(), target), model, pool,
+      options);
+}
+
+Result<MonteCarloResult> PooledMonteCarloSkylineProbability(
+    const Dataset& data, ObjectId target, std::span<const ObjectId> candidates,
+    const PreferenceModel& model, ThreadPool& pool,
+    const MonteCarloOptions& options) {
+  if (options.engine == MonteCarloOptions::Engine::kBitSliced) {
+    return BitSlicedMonteCarloSkylineProbability(data, target, candidates,
+                                                 model, pool, options);
   }
   return BlockMonteCarloSkylineProbability(data, target, candidates, model,
                                            pool, options);
@@ -240,55 +178,30 @@ bool BatchSurvives(const BatchPlan& plan, BatchWorldState& state,
 Result<std::vector<double>> BatchMonteCarloSkylineProbabilities(
     const Dataset& data, const PreferenceModel& model, ThreadPool& pool,
     const SolverOptions& options, BatchSamStats* stats) {
-  // The bit-sliced engine shares this plan-building front end but swaps
-  // the world loop for mask words; dispatch before any work happens.
-  if (options.monte_carlo.engine == MonteCarloOptions::Engine::kBitSliced) {
-    return BitSlicedBatchMonteCarloSkylineProbabilities(data, model, pool,
-                                                        options, stats);
-  }
-  SKYPREF_RETURN_IF_ERROR(data.Validate());
-  SKYPREF_RETURN_IF_ERROR(model.Validate(data));
-  const std::size_t n = data.size();
-  const MonteCarloOptions& mc = options.monte_carlo;
-  std::uint64_t samples = mc.samples != 0
-                              ? mc.samples
-                              : HoeffdingSampleSize(mc.epsilon, mc.delta);
-  if (samples == 0) {
-    return Status::InvalidArgument(
-        "Monte Carlo needs samples > 0 (or valid epsilon/delta)");
-  }
-  if (mc.block_size == 0) {
-    return Status::InvalidArgument("block engine needs block_size >= 1");
-  }
-  Deadline deadline = mc.deadline.has_value()
-                          ? mc.deadline
-                          : Deadline::After(mc.time_limit_seconds);
-  if (mc.cancel != nullptr && mc.cancel->cancelled()) {
-    return CancelledStatus();
-  }
-
-  BatchSamStats local;
-  local.requested_samples = samples;
+  // Both engines share the plan-building front end; the bit-sliced one
+  // swaps the world loop below for mask words.
+  const bool sliced =
+      options.monte_carlo.engine == MonteCarloOptions::Engine::kBitSliced;
   SKYPREF_ASSIGN_OR_RETURN(
-      BatchPlan plan, TryAlloc("alloc.sam.batch_plan", [&] {
-        return internal::BuildBatchPlan(data, model, pool, options, local);
-      }));
+      internal::BatchSamRun run,
+      internal::PrepareBatchSam(data, model, pool, options,
+                                sliced ? MonteCarloOptions::Engine::kBitSliced
+                                       : MonteCarloOptions::Engine::kBlock));
+  if (sliced) {
+    return internal::RunBitSlicedBatch(pool, run, options.monte_carlo, stats);
+  }
 
   // Phase C: the shared world stream, fanned out in deterministic blocks
   // (same runner, same "sampler.block" failpoint, same truncation
   // contract as the single-target engine). Each block owns its memo
   // state and its per-target counters; the reduce sums the counted block
   // prefix in index order.
-  const std::uint64_t num_blocks =
-      (samples + mc.block_size - 1) / mc.block_size;
-  std::vector<std::vector<std::uint64_t>> survived(
-      num_blocks, std::vector<std::uint64_t>(n, 0));
-  std::vector<BlockOutcome> outcomes;
-  SKYPREF_RETURN_IF_ERROR(RunDeterministicBlocks(
-      pool, samples, mc.block_size, /*chunk=*/1, mc.seed, deadline, mc.cancel,
-      outcomes, [&](std::uint64_t b) {
-        return [&plan, counts = survived[b].data(), n,
-                state = BatchWorldState(plan.pair_count())](
+  const BatchPlan& plan = run.plan;
+  const std::size_t n = data.size();
+  return internal::RunBatchSamBlocks(
+      pool, run, options.monte_carlo, /*chunk=*/1, stats,
+      [&](std::uint64_t* counts) {
+        return [&plan, counts, n, state = BatchWorldState(plan.pair_count())](
                    Rng& rng, std::uint64_t step, std::uint64_t* draws) mutable {
           (void)step;  // chunk = 1: exactly one world per call
           ++state.epoch;
@@ -296,24 +209,7 @@ Result<std::vector<double>> BatchMonteCarloSkylineProbabilities(
             if (BatchSurvives(plan, state, t, rng, draws)) ++counts[t];
           }
         };
-      }));
-
-  const BlockPrefix prefix = CountedPrefix(outcomes);
-  local.truncated = prefix.truncated;
-  for (std::uint64_t b = 0; b < prefix.end; ++b) {
-    local.samples += outcomes[b].achieved;
-    local.pair_draws += outcomes[b].draws;
-  }
-  std::vector<double> estimates(n, 0.0);
-  for (ObjectId t = 0; t < n; ++t) {
-    std::uint64_t hits = 0;
-    for (std::uint64_t b = 0; b < prefix.end; ++b) hits += survived[b][t];
-    estimates[t] =
-        static_cast<double>(hits) / static_cast<double>(local.samples);
-    SKYPREF_DCHECK_PROB(estimates[t]);
-  }
-  if (stats != nullptr) *stats = local;
-  return estimates;
+      });
 }
 
 }  // namespace skypref

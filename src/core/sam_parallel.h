@@ -25,8 +25,8 @@
 ///     seed ^ block_index) and blocks fan out over the ThreadPool.
 ///     Counts reduce in block-index order, so the estimate is
 ///     bit-identical at 0/1/2/8 threads — the repo's established
-///     reduction contract, with block_size part of the numeric contract
-///     exactly like ParallelOptions::sample_chunks.
+///     reduction contract, with block_size part of the numeric
+///     contract.
 ///
 ///     Truncation contract: a deadline (or the "sampler.block"
 ///     failpoint) truncates to a deterministic BLOCK PREFIX. Let T be
@@ -96,6 +96,17 @@ Result<MonteCarloResult> BlockMonteCarloSkylineProbability(
     const Dataset& data, ObjectId target, const PreferenceModel& model,
     ThreadPool& pool, const MonteCarloOptions& options = {});
 
+/// Sam over \p pool through the pooled engine options.engine selects:
+/// kBitSliced runs BitSlicedMonteCarloSkylineProbability (sam_bitslice.h),
+/// any other value runs BlockMonteCarloSkylineProbability. The one place
+/// that maps the engine enum onto a pooled engine — the solver facade,
+/// the resilient ladder and adaptive sampling all go through it; the
+/// kSerial engine takes no pool (MonteCarloSkylineProbability).
+Result<MonteCarloResult> PooledMonteCarloSkylineProbability(
+    const Dataset& data, ObjectId target, std::span<const ObjectId> candidates,
+    const PreferenceModel& model, ThreadPool& pool,
+    const MonteCarloOptions& options = {});
+
 /// Diagnostics of one batch all-objects estimation.
 struct BatchSamStats {
   std::size_t targets = 0;
@@ -126,8 +137,10 @@ struct BatchSamStats {
 /// (epsilon, delta) marginally. Deterministic per (seed, block_size) and
 /// bit-identical for every thread count of \p pool; deadline truncation
 /// keeps the block-prefix estimates with stats->truncated set.
-/// options.exact is unused; options.preprocess toggles absorption +
-/// partition exactly as in the exact batch solver.
+/// options.monte_carlo.engine == kBitSliced runs the bit-sliced batch
+/// world loop (sam_bitslice.h) over the same plan; any other value runs
+/// the scalar one. options.exact is unused; options.preprocess toggles
+/// absorption + partition exactly as in the exact batch solver.
 Result<std::vector<double>> BatchMonteCarloSkylineProbabilities(
     const Dataset& data, const PreferenceModel& model, ThreadPool& pool,
     const SolverOptions& options = {}, BatchSamStats* stats = nullptr);

@@ -1,47 +1,78 @@
 #include "src/core/solver.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <numeric>
+#include <optional>
+#include <span>
+#include <string>
+#include <unordered_map>
+#include <utility>
 
 #include "src/core/absorption.h"
 #include "src/core/dominance.h"
 #include "src/core/partition.h"
-#include "src/core/sam_bitslice.h"
 #include "src/core/sam_parallel.h"
+#include "src/util/cancel.h"
 #include "src/util/check.h"
+#include "src/util/failpoint.h"
+#include "src/util/hash.h"
 #include "src/util/random.h"
+#include "src/util/try_alloc.h"
 
 namespace skypref {
 
 namespace {
 
 /// One Sam solve through the configured engine. The kSerial engine never
-/// touches the pool; the kBlock and kBitSliced engines fan out over
-/// \p pool, or an inline pool when the caller has none (bit-identical
-/// either way).
+/// touches the pool; the pooled engines fan out over \p pool, or an
+/// inline pool when the caller has none (bit-identical either way).
 Result<MonteCarloResult> RunSamEngine(const Dataset& data, ObjectId target,
                                       std::span<const ObjectId> candidates,
                                       const PreferenceModel& model,
                                       ThreadPool* pool,
                                       const MonteCarloOptions& options) {
-  if (options.engine == MonteCarloOptions::Engine::kBlock ||
-      options.engine == MonteCarloOptions::Engine::kBitSliced) {
-    const bool sliced = options.engine == MonteCarloOptions::Engine::kBitSliced;
-    auto run = [&](ThreadPool& p) {
-      return sliced ? BitSlicedMonteCarloSkylineProbability(
-                          data, target, candidates, model, p, options)
-                    : BlockMonteCarloSkylineProbability(data, target,
-                                                        candidates, model, p,
-                                                        options);
-    };
-    if (pool != nullptr) return run(*pool);
-    ThreadPool inline_pool(0);
-    return run(inline_pool);
+  if (options.engine == MonteCarloOptions::Engine::kSerial) {
+    return MonteCarloSkylineProbability(data, target, candidates, model,
+                                        options);
   }
-  return MonteCarloSkylineProbability(data, target, candidates, model,
-                                      options);
+  if (pool != nullptr) {
+    return PooledMonteCarloSkylineProbability(data, target, candidates, model,
+                                              *pool, options);
+  }
+  ThreadPool inline_pool(0);
+  return PooledMonteCarloSkylineProbability(data, target, candidates, model,
+                                            inline_pool, options);
 }
 
 }  // namespace
+
+std::vector<std::vector<ObjectId>> CandidateGroups(const Dataset& data,
+                                                   ObjectId target,
+                                                   bool preprocess,
+                                                   SolveStats* stats) {
+  std::vector<ObjectId> candidates = AllObjectsExcept(data.size(), target);
+  const std::size_t total = candidates.size();
+  std::vector<std::vector<ObjectId>> groups;
+  if (preprocess) {
+    candidates = AbsorbCandidates(data, target, candidates);
+    groups = PartitionCandidates(data, target, candidates);
+  } else {
+    groups.push_back(std::move(candidates));
+  }
+  if (stats != nullptr) {
+    *stats = SolveStats{};
+    stats->candidates = total;
+    stats->groups = groups.size();
+    for (const auto& group : groups) {
+      stats->after_absorption += group.size();
+      stats->largest_group = std::max(stats->largest_group, group.size());
+      stats->group_sizes.push_back(group.size());
+    }
+  }
+  return groups;
+}
 
 Result<SkylineSolver> SkylineSolver::Create(const Dataset& data,
                                             const PreferenceModel& model) {
@@ -53,56 +84,25 @@ Result<SkylineSolver> SkylineSolver::Create(const Dataset& data,
   return SkylineSolver(data, model);
 }
 
-std::vector<ObjectId> SkylineSolver::AllCandidates(ObjectId target) const {
-  std::vector<ObjectId> candidates;
-  candidates.reserve(data_->size() - 1);
-  for (ObjectId id = 0; id < data_->size(); ++id) {
-    if (id != target) candidates.push_back(id);
-  }
-  return candidates;
-}
-
 Result<double> SkylineSolver::Exact(ObjectId target,
                                     const SolverOptions& options,
                                     SolveStats* stats) const {
   if (target >= data_->size()) {
     return Status::OutOfRange("target object out of range");
   }
-  std::vector<ObjectId> candidates = AllCandidates(target);
   SolveStats local;
-  local.candidates = candidates.size();
-
   DoubleOracle oracle(*model_);
   double result = 1.0;
-  if (options.preprocess) {
-    candidates = AbsorbCandidates(*data_, target, candidates);
-    local.after_absorption = candidates.size();
-    std::vector<std::vector<ObjectId>> groups =
-        PartitionCandidates(*data_, target, candidates);
-    local.groups = groups.size();
-    local.group_sizes.reserve(groups.size());
-    for (const auto& group : groups) {
-      local.largest_group = std::max(local.largest_group, group.size());
-      local.group_sizes.push_back(group.size());
-      ExactStats exact_stats;
-      SKYPREF_ASSIGN_OR_RETURN(
-          double group_prob,
-          ExactSkylineProbability(*data_, target, group, oracle, options.exact,
-                                  &exact_stats));
-      local.subsets_visited += exact_stats.subsets_visited;
-      SKYPREF_DCHECK_PROB(group_prob);
-      result *= group_prob;
-    }
-  } else {
-    local.after_absorption = candidates.size();
-    local.groups = 1;
-    local.largest_group = candidates.size();
-    local.group_sizes.assign(1, candidates.size());
+  for (const auto& group :
+       CandidateGroups(*data_, target, options.preprocess, &local)) {
     ExactStats exact_stats;
     SKYPREF_ASSIGN_OR_RETURN(
-        result, ExactSkylineProbability(*data_, target, candidates, oracle,
-                                        options.exact, &exact_stats));
-    local.subsets_visited = exact_stats.subsets_visited;
+        double group_prob,
+        ExactSkylineProbability(*data_, target, group, oracle, options.exact,
+                                &exact_stats));
+    local.subsets_visited += exact_stats.subsets_visited;
+    SKYPREF_DCHECK_PROB(group_prob);
+    result *= group_prob;
   }
   if (stats != nullptr) *stats = local;
   SKYPREF_DCHECK_PROB(result);
@@ -129,40 +129,16 @@ Result<double> SkylineSolver::MonteCarloImpl(ObjectId target,
   if (target >= data_->size()) {
     return Status::OutOfRange("target object out of range");
   }
-  std::vector<ObjectId> candidates = AllCandidates(target);
   SolveStats local;
-  local.candidates = candidates.size();
-
-  if (!options.preprocess) {
-    local.after_absorption = candidates.size();
-    local.groups = 1;
-    local.largest_group = candidates.size();
-    local.group_sizes.assign(1, candidates.size());
-    SKYPREF_ASSIGN_OR_RETURN(
-        MonteCarloResult mc,
-        RunSamEngine(*data_, target, candidates, *model_, pool,
-                     options.monte_carlo));
-    local.samples_drawn = mc.samples;
-    local.pair_draws = mc.pair_draws;
-    if (stats != nullptr) *stats = local;
-    SKYPREF_DCHECK_PROB(mc.estimate);
-    return ClampProbability(mc.estimate);
-  }
-
-  candidates = AbsorbCandidates(*data_, target, candidates);
-  local.after_absorption = candidates.size();
   std::vector<std::vector<ObjectId>> groups =
-      PartitionCandidates(*data_, target, candidates);
-  local.groups = groups.size();
+      CandidateGroups(*data_, target, options.preprocess, &local);
 
-  // Singleton groups are exact for free: Pr(no dominator) = 1 - Pr(e).
+  // Sam+ solves singleton groups exactly for free: Pr(no dominator) =
+  // 1 - Pr(e). Plain Sam samples its one group with the caller's seed.
   std::vector<const std::vector<ObjectId>*> sampled_groups;
   double result = 1.0;
-  local.group_sizes.reserve(groups.size());
   for (const auto& group : groups) {
-    local.largest_group = std::max(local.largest_group, group.size());
-    local.group_sizes.push_back(group.size());
-    if (group.size() == 1) {
+    if (options.preprocess && group.size() == 1) {
       result *= 1.0 - DominanceProbability(*data_, group[0], target, *model_);
     } else {
       sampled_groups.push_back(&group);
@@ -179,7 +155,8 @@ Result<double> SkylineSolver::MonteCarloImpl(ObjectId target,
     }
     Rng seeder(options.monte_carlo.seed);
     for (const auto* group : sampled_groups) {
-      per_group.seed = seeder.Fork();
+      per_group.seed =
+          options.preprocess ? seeder.Fork() : options.monte_carlo.seed;
       SKYPREF_ASSIGN_OR_RETURN(
           MonteCarloResult mc,
           RunSamEngine(*data_, target, *group, *model_, pool, per_group));
@@ -205,6 +182,289 @@ Result<double> SkylineSolver::Independent(ObjectId target) const {
   }
   SKYPREF_DCHECK_PROB(product);
   return ClampProbability(product);
+}
+
+namespace {
+
+/// Packs one (dim, candidate value, target value) preference lookup into
+/// a hashable key; ValueId is 32-bit, so both values fit one uint64.
+using PairKey = std::pair<DimensionId, std::uint64_t>;
+using PairProbCache = std::unordered_map<PairKey, double, PairHash>;
+
+PairKey MakePairKey(DimensionId dim, ValueId a, ValueId b) {
+  return {dim, (static_cast<std::uint64_t>(a) << 32) |
+                   static_cast<std::uint64_t>(b)};
+}
+
+/// Oracle reading the shared precomputed probability table. Entries are
+/// the exact doubles PreferenceModel::LessEq produced, so solves through
+/// this oracle are bit-identical to uncached ones.
+///
+/// Concurrency contract: the cache is built serially in Phase B and is
+/// immutable by the time worker threads read it through this oracle, so
+/// it carries no mutex and no SKYPREF_GUARDED_BY — const-shared, not
+/// lock-protected.
+class CachedDoubleOracle {
+ public:
+  using NumType = double;
+
+  explicit CachedDoubleOracle(const PairProbCache& cache) : cache_(&cache) {}
+
+  double LessEq(DimensionId dim, ValueId a, ValueId b) const {
+    auto it = cache_->find(MakePairKey(dim, a, b));
+    SKYPREF_DCHECK(it != cache_->end());
+    return it->second;
+  }
+
+ private:
+  const PairProbCache* cache_;
+};
+
+/// Whether a failed target is worth one re-dispatch. Deterministic
+/// failures are not: a blown subset budget or expired deadline fails
+/// identically on retry (the messages below are the exact engines' fixed
+/// strings, src/core/exact.h). Everything else ResourceExhausted —
+/// allocation failure, injected scheduler faults — is transient: the
+/// memory pressure or fault window that killed the first dispatch has
+/// typically passed by the time the batch drains.
+bool TransientFailure(const Status& status) {
+  if (status.code() != StatusCode::kResourceExhausted) return false;
+  const std::string& message = status.message();
+  return message.find("subset budget") == std::string::npos &&
+         message.find("time limit") == std::string::npos;
+}
+
+}  // namespace
+
+Result<std::vector<double>> BatchExactSkylineProbabilities(
+    const Dataset& data, const PreferenceModel& model, ThreadPool& pool,
+    const SolverOptions& options, BatchExactStats* stats) {
+  SKYPREF_RETURN_IF_ERROR(data.Validate());
+  SKYPREF_RETURN_IF_ERROR(model.Validate(data));
+  const std::size_t n = data.size();
+
+  BatchExactStats local;
+  local.targets = n;
+
+  // ONE deadline for the whole batch (see ExactOptions::deadline).
+  ExactOptions exact = options.exact;
+  exact.deadline = internal::ResolveDeadline(exact);
+
+  // Phase A: absorption + partition per target, sharing the global
+  // posting lists; chunked so each worker recycles one workspace. A
+  // target whose workspace allocation fails is marked here and stamped
+  // NaN in Phase C — groups[t].empty() cannot signal the failure because
+  // full absorption legitimately leaves a target with no groups. The
+  // postings outlive Phase A so the retry pass can rebuild a failed
+  // target's partition.
+  std::vector<std::vector<std::vector<ObjectId>>> groups(n);
+  std::vector<Status> statuses(n);
+  std::vector<unsigned char> phase_a_failed(n, 0);
+  std::optional<ValuePostings> postings;
+  if (options.preprocess) {
+    postings.emplace(data);
+    constexpr std::size_t kChunk = 16;
+    const std::size_t chunks = (n + kChunk - 1) / kChunk;
+    pool.ParallelFor(chunks, [&](std::size_t c) {
+      PartitionWorkspace workspace;
+      const std::size_t begin = c * kChunk;
+      const std::size_t end = std::min(n, begin + kChunk);
+      for (ObjectId t = begin; t < end; ++t) {
+        auto built = TryAlloc("alloc.batch.partition", [&] {
+          std::vector<ObjectId> candidates =
+              AbsorbAllCandidatesIndexed(data, t, *postings);
+          return PartitionCandidates(
+              data, t, std::span<const ObjectId>(candidates), workspace);
+        });
+        if (built.ok()) {
+          groups[t] = std::move(built).value();
+        } else {
+          statuses[t] = built.status();
+          phase_a_failed[t] = 1;
+        }
+      }
+    });
+  } else {
+    for (ObjectId t = 0; t < n; ++t) {
+      groups[t].push_back(AllObjectsExcept(n, t));
+    }
+  }
+  for (ObjectId t = 0; t < n; ++t) {
+    if (phase_a_failed[t] != 0) continue;  // no partition to account for
+    std::size_t after = 0;
+    for (const auto& group : groups[t]) {
+      after += group.size();
+      local.largest_group = std::max(local.largest_group, group.size());
+    }
+    local.groups += groups[t].size();
+    local.absorbed += (n - 1) - after;
+  }
+
+  // Phase B: every distinct Pr(q.j <= o.j) any target's pair table needs,
+  // computed once. Serial — these model lookups ARE the work being
+  // deduplicated across targets.
+  PairProbCache cache;
+  DoubleOracle oracle(model);
+  for (ObjectId t = 0; t < n; ++t) {
+    std::span<const ValueId> o = data.object(t);
+    for (const auto& group : groups[t]) {
+      for (ObjectId id : group) {
+        std::span<const ValueId> q = data.object(id);
+        for (DimensionId j = 0; j < data.dimensions(); ++j) {
+          if (q[j] == o[j]) continue;
+          auto [it, inserted] =
+              cache.try_emplace(MakePairKey(j, q[j], o[j]), 0.0);
+          if (inserted) it->second = oracle.LessEq(j, q[j], o[j]);
+        }
+      }
+    }
+  }
+  local.distinct_pair_probs = cache.size();
+
+  // Phase C: per-target solves, largest-work-first so a heavy target
+  // cannot serialize the tail. Work ~ sum over groups of 2^|group|; the
+  // exponent cap just keeps the weights finite.
+  std::vector<double> weight(n, 0.0);
+  for (ObjectId t = 0; t < n; ++t) {
+    for (const auto& group : groups[t]) {
+      // Scheduling heuristic only — never part of a returned probability,
+      // so plain summation is fine here.
+      // skypref-analyze: allow(kahan-discipline)
+      weight[t] += std::ldexp(
+          1.0, static_cast<int>(std::min<std::size_t>(group.size(), 512)));
+    }
+  }
+  std::vector<ObjectId> order(n);
+  std::iota(order.begin(), order.end(), ObjectId{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&weight](ObjectId a, ObjectId b) {
+                     return weight[a] > weight[b];
+                   });
+
+  CachedDoubleOracle cached(cache);
+  std::vector<double> results(n, 1.0);
+  std::vector<std::uint64_t> visited(n, 0);
+  pool.ParallelFor(n, [&](std::size_t k) {
+    const ObjectId t = order[k];
+    // The batch-scheduler failpoint and the cancel poll sit at the
+    // per-target dispatch boundary: one target fails (or the whole
+    // query stops) without touching any other target's solve.
+    if (SKYPREF_FAILPOINT("batch.target")) {
+      statuses[t] = Status::ResourceExhausted("failpoint batch.target");
+      results[t] = std::numeric_limits<double>::quiet_NaN();
+      return;
+    }
+    if (exact.cancel != nullptr && exact.cancel->cancelled()) {
+      statuses[t] = CancelledStatus();
+      results[t] = std::numeric_limits<double>::quiet_NaN();
+      return;
+    }
+    if (!statuses[t].ok()) {
+      // Phase A could not build this target's partition; an empty
+      // groups[t] would silently solve to probability 1.0.
+      results[t] = std::numeric_limits<double>::quiet_NaN();
+      return;
+    }
+    double product = 1.0;
+    Status status;
+    for (const auto& group : groups[t]) {
+      ExactStats exact_stats;
+      auto result = ExactSkylineProbability(
+          data, t, std::span<const ObjectId>(group), cached, exact,
+          &exact_stats);
+      visited[t] += exact_stats.subsets_visited;
+      if (!result.ok()) {
+        status = result.status();
+        break;
+      }
+      SKYPREF_DCHECK_PROB(result.value());
+      product *= result.value();
+    }
+    if (status.ok()) {
+      SKYPREF_DCHECK_PROB(product);
+      results[t] = ClampProbability(product);
+    } else {
+      statuses[t] = status;
+      results[t] = std::numeric_limits<double>::quiet_NaN();
+    }
+  });
+
+  // Retry salvage pass: each target that failed on a TRANSIENT fault
+  // gets ONE serial re-dispatch against the remaining shared deadline
+  // before being stamped NaN for good. Determinism contract:
+  //  * retry order is ascending ObjectId — independent of the
+  //    largest-work-first schedule and of thread count;
+  //  * a salvaged target's value is bit-identical to its fault-free
+  //    value (retries solve through the plain oracle, whose doubles are
+  //    by construction the cache's entries — and a target whose Phase A
+  //    failed has no entries in the cache at all);
+  //  * targets that already succeeded are never touched.
+  if (options.retry_failed_targets) {
+    for (ObjectId t = 0; t < n; ++t) {
+      if (statuses[t].ok() || !TransientFailure(statuses[t])) continue;
+      if (exact.cancel != nullptr && exact.cancel->cancelled()) break;
+      if (exact.deadline.has_value() && exact.deadline.Expired()) break;
+      ++local.retried_targets;
+      // The retry dispatch has its own failpoint so chaos schedules can
+      // fail the salvage itself (a double fault must still stamp NaN
+      // plus a well-formed Status, never a bogus value).
+      if (SKYPREF_FAILPOINT("batch.retry")) {
+        statuses[t] = Status::ResourceExhausted("failpoint batch.retry");
+        continue;
+      }
+      if (phase_a_failed[t] != 0) {
+        auto rebuilt = TryAlloc("alloc.batch.partition", [&] {
+          PartitionWorkspace workspace;
+          std::vector<ObjectId> candidates =
+              AbsorbAllCandidatesIndexed(data, t, *postings);
+          return PartitionCandidates(
+              data, t, std::span<const ObjectId>(candidates), workspace);
+        });
+        if (!rebuilt.ok()) {
+          statuses[t] = rebuilt.status();
+          continue;
+        }
+        groups[t] = std::move(rebuilt).value();
+        phase_a_failed[t] = 0;
+      }
+      double product = 1.0;
+      Status status;
+      for (const auto& group : groups[t]) {
+        ExactStats exact_stats;
+        auto result = ExactSkylineProbability(
+            data, t, std::span<const ObjectId>(group), oracle, exact,
+            &exact_stats);
+        visited[t] += exact_stats.subsets_visited;
+        if (!result.ok()) {
+          status = result.status();
+          break;
+        }
+        SKYPREF_DCHECK_PROB(result.value());
+        product *= result.value();
+      }
+      if (status.ok()) {
+        SKYPREF_DCHECK_PROB(product);
+        results[t] = ClampProbability(product);
+        statuses[t] = Status::OK();
+        ++local.salvaged_targets;
+      } else {
+        statuses[t] = status;
+      }
+    }
+  }
+
+  // A failed target no longer aborts the batch: its slot carries NaN and
+  // its Status lands in stats->target_status, while every target that
+  // finished keeps its bit-identical value. Only cancellation — the
+  // caller abandoning the query — fails the whole call.
+  local.target_status = statuses;
+  for (ObjectId t = 0; t < n; ++t) {
+    if (statuses[t].code() == StatusCode::kCancelled) return statuses[t];
+    if (!statuses[t].ok()) ++local.failed_targets;
+    local.subsets_visited += visited[t];
+  }
+  if (stats != nullptr) *stats = local;
+  return results;
 }
 
 Result<double> ExpectedSkylineCardinality(const Dataset& data,
@@ -244,18 +504,9 @@ Result<Rational> ExactSkylineProbabilityRational(
   if (target >= data.size()) {
     return Status::OutOfRange("target object out of range");
   }
-  std::vector<ObjectId> candidates;
-  candidates.reserve(data.size() - 1);
-  for (ObjectId id = 0; id < data.size(); ++id) {
-    if (id != target) candidates.push_back(id);
-  }
   RationalOracle oracle(model);
-  if (!preprocess) {
-    return ExactSkylineProbability(data, target, candidates, oracle, options);
-  }
-  candidates = AbsorbCandidates(data, target, candidates);
   Rational result(1);
-  for (const auto& group : PartitionCandidates(data, target, candidates)) {
+  for (const auto& group : CandidateGroups(data, target, preprocess)) {
     SKYPREF_ASSIGN_OR_RETURN(
         Rational group_prob,
         ExactSkylineProbability(data, target, group, oracle, options));

@@ -61,6 +61,17 @@ struct SolveStats {
   std::uint64_t pair_draws = 0;       ///< Monte-Carlo solves
 };
 
+/// The candidate groups a single-target solve of \p target runs on:
+/// every other object, absorbed and split into Theorem-4 independence
+/// groups when \p preprocess is set (the "+" variants), else one group
+/// holding all of them. When \p stats is non-null, resets it and fills
+/// its preprocessing fields (candidates, after_absorption, groups,
+/// largest_group, group_sizes). Requires target < data.size().
+std::vector<std::vector<ObjectId>> CandidateGroups(const Dataset& data,
+                                                   ObjectId target,
+                                                   bool preprocess,
+                                                   SolveStats* stats = nullptr);
+
 class SkylineSolver {
  public:
   /// Validates the dataset (non-empty, no duplicate objects) and binds it
@@ -95,8 +106,6 @@ class SkylineSolver {
  private:
   SkylineSolver(const Dataset& data, const PreferenceModel& model)
       : data_(&data), model_(&model) {}
-
-  std::vector<ObjectId> AllCandidates(ObjectId target) const;
 
   /// Shared Sam body; \p pool is null for the poolless overload (the
   /// kBlock engine then runs inline).

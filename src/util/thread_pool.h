@@ -5,9 +5,9 @@
 /// A small fixed-size thread pool with a blocking ParallelFor.
 ///
 /// The solvers use data parallelism at natural grain boundaries (groups
-/// of a partition, chunks of sampled worlds, target objects of an
-/// all-objects query). Determinism is preserved by deriving each chunk's
-/// PRNG seed from the chunk INDEX, never from the executing thread, so
+/// of a partition, blocks of sampled worlds, target objects of an
+/// all-objects query). Determinism is preserved by deriving each block's
+/// PRNG seed from the block INDEX, never from the executing thread, so
 /// results are identical for any thread count including 0 (inline
 /// execution).
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/all_worlds.h"
 #include "src/core/exact.h"
 #include "test_util.h"
 
@@ -42,6 +43,24 @@ TEST(HoeffdingTest, TinyEpsilonSaturatesInsteadOfOverflowing) {
   // fewer samples.
   EXPECT_LE(HoeffdingSampleSize(1e-6, 0.01), HoeffdingSampleSize(1e-9, 0.01));
   EXPECT_LE(HoeffdingSampleSize(1e-9, 0.01), HoeffdingSampleSize(1e-12, 0.01));
+}
+
+TEST(AllWorldsSampleSizeTest, TinyEpsilonSaturatesInsteadOfOverflowing) {
+  // The union-bound count shares HoeffdingSampleSize's saturation: a
+  // bound beyond uint64 (epsilon ~ 1e-10 and below) or a NaN parameter
+  // must not reach an undefined double-to-uint64 cast.
+  const std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(AllWorldsSampleSize(1e-12, 0.01, 100), kMax);
+  EXPECT_EQ(AllWorldsSampleSize(1e-300, 0.5, 1), kMax);
+  EXPECT_EQ(AllWorldsSampleSize(kNaN, 0.05, 100), kMax);
+  EXPECT_EQ(AllWorldsSampleSize(0.02, kNaN, 100), kMax);
+  EXPECT_LE(AllWorldsSampleSize(1e-9, 0.01, 100),
+            AllWorldsSampleSize(1e-12, 0.01, 100));
+  // In-range counts are unchanged: the default AllWorldsOptions at
+  // n = 1000 still ask for 13,246 worlds.
+  EXPECT_EQ(AllWorldsSampleSize(0.02, 0.05, 1000), 13246u);
+  EXPECT_EQ(AllWorldsSampleSize(0.0, 0.05, 1000), 0u);
 }
 
 TEST(MonteCarloTest, ConvergesToFigure1Truth) {

@@ -3,43 +3,54 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/dominance.h"
 #include "src/core/parallel.h"
+#include "src/core/sam_parallel.h"
 #include "test_util.h"
 
 // ThreadSanitizer-targeted determinism tests: the documented contract is
-// that every Parallel* solver seeds its PRNG from the CHUNK index, never
-// the executing thread, so results are bit-identical for any thread
-// count including the 0-thread inline pool. A data race in the chunk
-// fan-out would show up either as a TSan report or as a determinism
-// violation here. Run under the `tsan` preset via ctest -L concurrency.
+// that every pooled engine seeds its PRNG from the BLOCK (or task) index,
+// never the executing thread, so results are bit-identical for any
+// thread count including the 0-thread inline pool, and one pool reused
+// run after run keeps reproducing them. A data race in the fan-out would
+// show up either as a TSan report or as a determinism violation here.
+// Run under the `tsan` preset via ctest -L concurrency.
 
 namespace skypref {
 namespace {
 
 using skypref::testing::RandomSmallDataset;
 
+constexpr MonteCarloOptions::Engine kPooledEngines[] = {
+    MonteCarloOptions::Engine::kBlock, MonteCarloOptions::Engine::kBitSliced};
+
 TEST(ParallelDeterminismStressTest, MonteCarloThreadCountSweep) {
   Dataset data = RandomSmallDataset(91, 12, 3, 4);
   HashedPreferenceModel model(5,
                               HashedPreferenceModel::Style::kSimplexUniform);
-  MonteCarloOptions options;
-  options.samples = 4000;
-  options.seed = 99;
+  const std::vector<ObjectId> candidates = AllObjectsExcept(data.size(), 0);
+  for (MonteCarloOptions::Engine engine : kPooledEngines) {
+    MonteCarloOptions options;
+    options.samples = 4000;
+    options.seed = 99;
+    options.block_size = 256;  // 16 blocks to fan out
+    options.engine = engine;
 
-  ThreadPool reference_pool(0);
-  auto reference = ParallelMonteCarloSkylineProbability(
-      data, 0, model, reference_pool, options);
-  ASSERT_TRUE(reference.ok());
+    ThreadPool reference_pool(0);
+    auto reference = PooledMonteCarloSkylineProbability(
+        data, 0, candidates, model, reference_pool, options);
+    ASSERT_TRUE(reference.ok());
 
-  for (std::size_t threads : {1u, 2u, 3u, 5u, 8u}) {
-    ThreadPool pool(threads);
-    auto run =
-        ParallelMonteCarloSkylineProbability(data, 0, model, pool, options);
-    ASSERT_TRUE(run.ok()) << "threads=" << threads;
-    EXPECT_EQ(run->skyline_worlds, reference->skyline_worlds)
-        << "threads=" << threads;
-    EXPECT_EQ(run->samples, reference->samples) << "threads=" << threads;
-    EXPECT_EQ(run->estimate, reference->estimate) << "threads=" << threads;
+    for (std::size_t threads : {1u, 2u, 3u, 5u, 8u}) {
+      ThreadPool pool(threads);
+      auto run = PooledMonteCarloSkylineProbability(data, 0, candidates,
+                                                    model, pool, options);
+      ASSERT_TRUE(run.ok()) << "threads=" << threads;
+      EXPECT_EQ(run->skyline_worlds, reference->skyline_worlds)
+          << "threads=" << threads;
+      EXPECT_EQ(run->samples, reference->samples) << "threads=" << threads;
+      EXPECT_EQ(run->estimate, reference->estimate) << "threads=" << threads;
+    }
   }
 }
 
@@ -49,19 +60,25 @@ TEST(ParallelDeterminismStressTest, MonteCarloRepeatedRunsOnOnePool) {
   // long before it segfaults.
   Dataset data = RandomSmallDataset(17, 8, 2, 3);
   HashedPreferenceModel model(3, HashedPreferenceModel::Style::kTotalUniform);
-  MonteCarloOptions options;
-  options.samples = 2000;
-  options.seed = 7;
+  const std::vector<ObjectId> candidates = AllObjectsExcept(data.size(), 1);
   ThreadPool pool(4);
-  auto first = ParallelMonteCarloSkylineProbability(data, 1, model, pool,
-                                                    options);
-  ASSERT_TRUE(first.ok());
-  for (int round = 0; round < 25; ++round) {
-    auto again = ParallelMonteCarloSkylineProbability(data, 1, model, pool,
-                                                      options);
-    ASSERT_TRUE(again.ok());
-    ASSERT_EQ(again->skyline_worlds, first->skyline_worlds)
-        << "round " << round;
+  for (MonteCarloOptions::Engine engine : kPooledEngines) {
+    MonteCarloOptions options;
+    options.samples = 2048;
+    options.seed = 7;
+    options.block_size = 128;
+    options.engine = engine;
+    auto first = PooledMonteCarloSkylineProbability(data, 1, candidates, model,
+                                                    pool, options);
+    ASSERT_TRUE(first.ok());
+    for (int round = 0; round < 25; ++round) {
+      auto again = PooledMonteCarloSkylineProbability(data, 1, candidates,
+                                                      model, pool, options);
+      ASSERT_TRUE(again.ok());
+      ASSERT_EQ(again->skyline_worlds, first->skyline_worlds)
+          << "round " << round;
+      ASSERT_EQ(again->pair_draws, first->pair_draws) << "round " << round;
+    }
   }
 }
 
@@ -146,23 +163,29 @@ TEST(ParallelDeterminismStressTest, BatchSolverThreadSweep) {
 }
 
 TEST(ParallelDeterminismStressTest, AllWorldsSweepAndSharedPoolReuse) {
+  // All-objects sampling is batch Sam: one stream of shared worlds per
+  // engine, bit-identical to the inline pool on every reuse of one pool.
   Dataset data = RandomSmallDataset(53, 14, 2, 4);
   HashedPreferenceModel model(11, HashedPreferenceModel::Style::kTotalUniform);
-  AllWorldsOptions options;
-  options.samples = 3000;
-  options.seed = 21;
-
-  ThreadPool reference_pool(0);
-  auto reference = ParallelEstimateAllSkylineProbabilities(
-      data, model, reference_pool, options);
-  ASSERT_TRUE(reference.ok());
-
   ThreadPool pool(4);
-  for (int round = 0; round < 5; ++round) {
-    auto run =
-        ParallelEstimateAllSkylineProbabilities(data, model, pool, options);
-    ASSERT_TRUE(run.ok());
-    ASSERT_EQ(run->estimates, reference->estimates) << "round " << round;
+  for (MonteCarloOptions::Engine engine : kPooledEngines) {
+    SolverOptions options;
+    options.monte_carlo.samples = 3008;
+    options.monte_carlo.seed = 21;
+    options.monte_carlo.block_size = 256;
+    options.monte_carlo.engine = engine;
+
+    ThreadPool reference_pool(0);
+    auto reference = BatchMonteCarloSkylineProbabilities(
+        data, model, reference_pool, options);
+    ASSERT_TRUE(reference.ok());
+
+    for (int round = 0; round < 5; ++round) {
+      auto run = BatchMonteCarloSkylineProbabilities(data, model, pool,
+                                                     options);
+      ASSERT_TRUE(run.ok());
+      ASSERT_EQ(*run, *reference) << "round " << round;
+    }
   }
 }
 

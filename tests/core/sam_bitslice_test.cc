@@ -287,23 +287,6 @@ TEST(BitSlicedBatchTest, BitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(BitSlicedBatchTest, EngineEnumDispatchEqualsDirectCall) {
-  Dataset data = RandomSmallDataset(11, 12, 2, 4);
-  TablePreferenceModel model;
-  SolverOptions options;
-  options.monte_carlo.samples = 2048;
-  options.monte_carlo.block_size = 512;
-  ThreadPool pool(2);
-  auto direct =
-      BitSlicedBatchMonteCarloSkylineProbabilities(data, model, pool, options);
-  options.monte_carlo.engine = MonteCarloOptions::Engine::kBitSliced;
-  auto dispatched =
-      BatchMonteCarloSkylineProbabilities(data, model, pool, options);
-  ASSERT_TRUE(direct.ok()) << direct.status();
-  ASSERT_TRUE(dispatched.ok()) << dispatched.status();
-  EXPECT_EQ(*direct, *dispatched);
-}
-
 TEST(BitSlicedBatchTest, AgreesWithScalarBatchWithinSummedBars) {
   Dataset data = RandomSmallDataset(41, 16, 2, 5);
   TablePreferenceModel model;

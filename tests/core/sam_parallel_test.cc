@@ -255,6 +255,71 @@ TEST(BlockSamTest, InvalidArgumentsRejected) {
             StatusCode::kInvalidArgument);
 }
 
+// One front end serves every engine: the same malformed request fails
+// with the same code whichever engine runs it, and a pre-cancelled token
+// stops each one before any world is drawn. Only the block-size rule is
+// engine-specific (kSerial has no blocks).
+TEST(SamEngineTest, RequestErrorsMatchAcrossEngines) {
+  using Engine = MonteCarloOptions::Engine;
+  Dataset data = Figure1Dataset();
+  TablePreferenceModel model;
+  CancelToken cancelled;
+  cancelled.RequestCancel();
+  MonteCarloOptions valid;
+  valid.samples = 200;
+  MonteCarloOptions no_samples;
+  no_samples.samples = 0;
+  no_samples.epsilon = 0.0;
+  MonteCarloOptions pre_cancelled = valid;
+  pre_cancelled.cancel = &cancelled;
+  MonteCarloOptions zero_block = valid;
+  zero_block.block_size = 0;
+  const std::vector<ObjectId> others = {1, 2};
+
+  struct Case {
+    const char* name;
+    ObjectId target;
+    std::vector<ObjectId> candidates;
+    MonteCarloOptions options;
+    StatusCode serial, block, bit_sliced;
+  };
+  const Case cases[] = {
+      {"no samples", 0, others, no_samples, StatusCode::kInvalidArgument,
+       StatusCode::kInvalidArgument, StatusCode::kInvalidArgument},
+      {"target out of range", 42, others, valid, StatusCode::kOutOfRange,
+       StatusCode::kOutOfRange, StatusCode::kOutOfRange},
+      {"candidate out of range", 0, {1, 42}, valid, StatusCode::kOutOfRange,
+       StatusCode::kOutOfRange, StatusCode::kOutOfRange},
+      {"candidate is the target", 0, {0}, valid,
+       StatusCode::kInvalidArgument, StatusCode::kInvalidArgument,
+       StatusCode::kInvalidArgument},
+      {"zero block size", 0, others, zero_block, StatusCode::kOk,
+       StatusCode::kInvalidArgument, StatusCode::kInvalidArgument},
+      {"pre-cancelled token", 0, others, pre_cancelled,
+       StatusCode::kCancelled, StatusCode::kCancelled,
+       StatusCode::kCancelled},
+  };
+  ThreadPool pool(2);
+  for (const Case& c : cases) {
+    for (Engine engine :
+         {Engine::kSerial, Engine::kBlock, Engine::kBitSliced}) {
+      MonteCarloOptions options = c.options;
+      options.engine = engine;
+      Result<MonteCarloResult> run =
+          engine == Engine::kSerial
+              ? MonteCarloSkylineProbability(data, c.target, c.candidates,
+                                             model, options)
+              : PooledMonteCarloSkylineProbability(
+                    data, c.target, c.candidates, model, pool, options);
+      const StatusCode want = engine == Engine::kSerial  ? c.serial
+                              : engine == Engine::kBlock ? c.block
+                                                         : c.bit_sliced;
+      EXPECT_EQ(run.status().code(), want)
+          << c.name << ", engine " << static_cast<int>(engine);
+    }
+  }
+}
+
 #if defined(SKYPREF_FAILPOINTS) && SKYPREF_FAILPOINTS
 
 TEST(BlockSamTest, FailpointPoisonsTheSameBlockAtEveryThreadCount) {

@@ -82,6 +82,7 @@ ENGINE_FILES = {
     "src/core/sam_internal.cc",
     "src/core/resilient.cc",
     "src/core/all_worlds.cc",
+    "src/core/solver.cc",
 }
 
 # Calls that mark a loop as doing per-world / per-subset solve work.

@@ -43,8 +43,8 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/dominance.h"
 #include "src/core/resilient.h"
-#include "src/core/sam_bitslice.h"
 #include "src/core/sam_parallel.h"
 #include "src/core/solver.h"
 #include "src/model/preference_model.h"
@@ -252,12 +252,10 @@ RunOutcome RunEngine(EngineKind engine, const Dataset& data,
     case EngineKind::kBlock:
     case EngineKind::kBitSliced: {
       for (ObjectId t = 0; t < n; ++t) {
-        const MonteCarloOptions mc = SamOptions(engine, t);
         auto result =
-            engine == EngineKind::kBitSliced
-                ? BitSlicedMonteCarloSkylineProbability(data, t, model, pool,
-                                                        mc)
-                : BlockMonteCarloSkylineProbability(data, t, model, pool, mc);
+            PooledMonteCarloSkylineProbability(data, t, AllObjectsExcept(n, t),
+                                               model, pool,
+                                               SamOptions(engine, t));
         if (result.ok()) {
           out.value[t] = result->estimate;
           out.truncated[t] = result->truncated;
