@@ -29,8 +29,10 @@ Result<AdaptiveResult> AdaptiveMonteCarloSkylineProbability(
     const Dataset& data, ObjectId target, std::span<const ObjectId> candidates,
     const PreferenceModel& model, ThreadPool& pool,
     const AdaptiveOptions& options) {
-  if (options.epsilon <= 0.0 || options.delta <= 0.0 ||
-      options.delta >= 1.0) {
+  // Written so NaN fails every comparison and lands here; a NaN epsilon
+  // would otherwise never satisfy the stopping rule.
+  if (!(options.epsilon > 0.0 && std::isfinite(options.epsilon)) ||
+      !(options.delta > 0.0 && options.delta < 1.0)) {
     return Status::InvalidArgument(
         "adaptive sampling needs epsilon > 0 and delta in (0,1)");
   }

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "src/core/monte_carlo.h"
-#include "src/util/hash.h"
 
 namespace skypref {
 
@@ -17,106 +15,15 @@ std::uint64_t AllWorldsSampleSize(double epsilon, double delta,
       (2.0 * epsilon * epsilon));
 }
 
-namespace {
-
-struct PairKey {
-  DimensionId dim;
-  ValueId lo;
-  ValueId hi;
-  bool operator==(const PairKey& o) const {
-    return dim == o.dim && lo == o.lo && hi == o.hi;
-  }
-};
-
-struct PairKeyHash {
-  std::size_t operator()(const PairKey& k) const {
-    std::size_t h = HashCombine(std::size_t{0xfeed1234}, k.dim);
-    h = HashCombine(h, k.lo);
-    return HashCombine(h, k.hi);
-  }
-};
-
-}  // namespace
-
 SharedWorldSampler::SharedWorldSampler(const Dataset& data,
-                                       const PreferenceModel& model) {
-  const DimensionId d = static_cast<DimensionId>(data.dimensions());
-  const std::size_t n = data.size();
-  std::unordered_map<PairKey, std::uint32_t, PairKeyHash> pair_index;
-  per_target_.resize(n);
-  for (ObjectId i = 0; i < n; ++i) {
-    for (ObjectId c = 0; c < n; ++c) {
-      if (c == i) continue;
-      Candidate candidate;
-      candidate.dominance_probability = 1.0;
-      bool possible = true;
-      for (DimensionId j = 0; j < d && possible; ++j) {
-        ValueId vc = data.value(c, j);
-        ValueId vi = data.value(i, j);
-        if (vc == vi) continue;
-        ValueId lo = std::min(vc, vi);
-        ValueId hi = std::max(vc, vi);
-        PrefPair pair = model.GetPair(j, lo, hi);
-        double toward_candidate = vc == lo ? pair.less : pair.greater;
-        // Exact-zero test: Pr = 0 means the orientation can never be
-        // drawn, so the candidate is pruned from the sampling plan.
-        if (toward_candidate == 0.0) {  // skypref-lint: allow(float-eq)
-          possible = false;
-          break;
-        }
-        candidate.dominance_probability *= toward_candidate;
-        auto [it, inserted] = pair_index.try_emplace(
-            PairKey{j, lo, hi}, static_cast<std::uint32_t>(pair_less_.size()));
-        if (inserted) {
-          pair_less_.push_back(pair.less);
-          pair_greater_.push_back(pair.greater);
-        }
-        candidate.requirements.push_back(
-            Requirement{it->second, vc == lo ? Orientation::kLoPreferred
-                                             : Orientation::kHiPreferred});
-      }
-      // A candidate with no differing dimension would duplicate the
-      // target; Dataset::Validate guarantees that cannot happen.
-      if (possible && !candidate.requirements.empty()) {
-        per_target_[i].push_back(std::move(candidate));
-      }
-    }
-    std::stable_sort(per_target_[i].begin(), per_target_[i].end(),
-                     [](const Candidate& a, const Candidate& b) {
-                       return a.dominance_probability >
-                              b.dominance_probability;
-                     });
-  }
-  outcome_.assign(pair_less_.size(), Orientation::kIncomparable);
-  epoch_mark_.assign(pair_less_.size(), 0);
-}
+                                       const PreferenceModel& model)
+    : plan_(internal::BuildBatchPlan(data, model, {})),
+      memo_(plan_.pair_count()) {}
 
 bool SharedWorldSampler::Survives(ObjectId target, Rng& rng,
                                   std::uint64_t* pair_draws) {
-  for (const Candidate& candidate : per_target_[target]) {
-    bool dominates = true;
-    for (const Requirement& req : candidate.requirements) {
-      if (epoch_mark_[req.pair_index] != epoch_) {
-        epoch_mark_[req.pair_index] = epoch_;
-        double u = rng.NextDouble();
-        if (u < pair_less_[req.pair_index]) {
-          outcome_[req.pair_index] = Orientation::kLoPreferred;
-        } else if (u < pair_less_[req.pair_index] +
-                           pair_greater_[req.pair_index]) {
-          outcome_[req.pair_index] = Orientation::kHiPreferred;
-        } else {
-          outcome_[req.pair_index] = Orientation::kIncomparable;
-        }
-        ++*pair_draws;
-      }
-      if (outcome_[req.pair_index] != req.want) {
-        dominates = false;
-        break;
-      }
-    }
-    if (dominates) return false;
-  }
-  return true;
+  return internal::BatchSurvives<internal::DrawPref>(plan_, memo_, target, rng,
+                                                     pair_draws);
 }
 
 Result<AllWorldsResult> EstimateAllSkylineProbabilities(

@@ -29,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/core/sam_internal.h"
 #include "src/model/dataset.h"
 #include "src/model/preference_model.h"
 #include "src/model/types.h"
@@ -68,7 +69,8 @@ struct AllWorldsResult {
 /// HoeffdingSampleSize; 0 when epsilon/delta are invalid or n == 0.
 std::uint64_t AllWorldsSampleSize(double epsilon, double delta, std::size_t n);
 
-/// Precompiled shared-world sampling plan: a global table of ternary
+/// Shared-world sampler: a view over the batch Sam plan built without
+/// preprocessing (internal::BuildBatchPlan) — a global table of ternary
 /// preference variables plus, per object, its possible dominators sorted
 /// by dominance probability (the Algorithm-2 checking-sequence idea
 /// applied to every target). Candidates with dominance probability
@@ -76,23 +78,25 @@ std::uint64_t AllWorldsSampleSize(double epsilon, double delta, std::size_t n);
 ///
 /// One world is shared by all targets: preferences are sampled lazily and
 /// memoized per world, so two targets querying the same value pair see
-/// the same orientation. Construction is O(n^2 d) worst case but only
-/// stores possible dominators. Powers EstimateAllSkylineProbabilities and
-/// the top-k race (src/core/topk_race.h).
+/// the same orientation. Each orientation is one Rng::NextDouble draw
+/// against the model's doubles (batch Sam draws against integer cuts
+/// instead). Construction is O(n^2 d) worst case but only stores
+/// possible dominators. Powers EstimateAllSkylineProbabilities and the
+/// top-k race (src/core/topk_race.h).
 class SharedWorldSampler {
  public:
   SharedWorldSampler(const Dataset& data, const PreferenceModel& model);
 
   /// Number of distinct ternary preference variables discovered.
-  std::size_t pair_count() const { return pair_less_.size(); }
+  std::size_t pair_count() const { return plan_.pair_count(); }
 
   /// Possible dominators of \p target (after zero-probability filtering).
   std::size_t candidate_count(ObjectId target) const {
-    return per_target_[target].size();
+    return plan_.target_begin[target + 1] - plan_.target_begin[target];
   }
 
   /// Advances to a fresh world; previously sampled outcomes are dropped.
-  void NextWorld() { ++epoch_; }
+  void NextWorld() { ++memo_.epoch; }
 
   /// True iff \p target survives (is undominated in) the current world.
   /// Preferences are sampled on demand from \p rng and shared across all
@@ -100,26 +104,8 @@ class SharedWorldSampler {
   bool Survives(ObjectId target, Rng& rng, std::uint64_t* pair_draws);
 
  private:
-  enum class Orientation : std::uint8_t {
-    kLoPreferred,
-    kHiPreferred,
-    kIncomparable,
-  };
-  struct Requirement {
-    std::uint32_t pair_index;
-    Orientation want;
-  };
-  struct Candidate {
-    double dominance_probability;
-    std::vector<Requirement> requirements;
-  };
-
-  std::vector<double> pair_less_;
-  std::vector<double> pair_greater_;
-  std::vector<std::vector<Candidate>> per_target_;
-  std::vector<Orientation> outcome_;
-  std::vector<std::uint64_t> epoch_mark_;
-  std::uint64_t epoch_ = 0;
+  internal::BatchPlan plan_;
+  internal::BatchMemo memo_;
 };
 
 /// Estimates sky() of every object by shared-world sampling.

@@ -13,78 +13,18 @@ namespace skypref {
 
 namespace {
 
-/// Evaluates level sums S_k of Eq. 4 one level at a time, sharing the
-/// per-dimension "distinct value" stamps across subsets.
-class LevelEvaluator {
- public:
-  LevelEvaluator(const Dataset& data, ObjectId target,
-                 std::span<const ObjectId> candidates,
-                 const PreferenceModel& model)
-      : data_(data), target_(target), candidates_(candidates), model_(model) {
-    seen_.resize(data.dimensions());
-    for (DimensionId j = 0; j < data.dimensions(); ++j) {
-      ValueId bound = data.value(target, j) + 1;
-      for (ObjectId id : candidates) {
-        bound = std::max(bound, static_cast<ValueId>(data.value(id, j) + 1));
-      }
-      seen_[j].assign(bound, 0);
+/// Number of terms in level k of n candidates: C(n, k), saturating.
+std::uint64_t LevelTermCount(std::size_t n, std::size_t k) {
+  if (k > n) return 0;
+  std::uint64_t count = 1;
+  for (std::size_t i = 0; i < k; ++i) {
+    if (count > (std::uint64_t{1} << 62) / (n - i)) {
+      return std::uint64_t{1} << 63;  // saturate; caller compares budgets
     }
+    count = count * (n - i) / (i + 1);
   }
-
-  /// Number of terms in level k: C(n, k), saturating.
-  std::uint64_t LevelTermCount(std::size_t k) const {
-    const std::size_t n = candidates_.size();
-    if (k > n) return 0;
-    std::uint64_t count = 1;
-    for (std::size_t i = 0; i < k; ++i) {
-      if (count > (std::uint64_t{1} << 62) / (n - i)) {
-        return std::uint64_t{1} << 63;  // saturate; caller compares budgets
-      }
-      count = count * (n - i) / (i + 1);
-    }
-    return count;
-  }
-
-  /// Sum of joint probabilities over all subsets of size k.
-  double EvaluateLevel(std::size_t k, std::uint64_t* terms) {
-    const std::size_t n = candidates_.size();
-    KahanSum sum;
-    std::vector<std::size_t> comb(k);
-    for (std::size_t i = 0; i < k; ++i) comb[i] = i;
-    while (true) {
-      ++term_id_;
-      double joint = 1.0;
-      for (std::size_t pos : comb) {
-        std::span<const ValueId> q = data_.object(candidates_[pos]);
-        for (DimensionId j = 0; j < data_.dimensions(); ++j) {
-          ValueId v = q[j];
-          if (v == data_.value(target_, j)) continue;
-          if (seen_[j][v] != term_id_) {
-            seen_[j][v] = term_id_;
-            joint *= model_.LessEq(j, v, data_.value(target_, j));
-          }
-        }
-      }
-      sum.Add(joint);
-      ++*terms;
-
-      std::size_t i = k;
-      while (i > 0 && comb[i - 1] == n - k + (i - 1)) --i;
-      if (i == 0) break;
-      ++comb[i - 1];
-      for (std::size_t t = i; t < k; ++t) comb[t] = comb[t - 1] + 1;
-    }
-    return sum.Value();
-  }
-
- private:
-  const Dataset& data_;
-  ObjectId target_;
-  std::span<const ObjectId> candidates_;
-  const PreferenceModel& model_;
-  std::vector<std::vector<std::uint64_t>> seen_;
-  std::uint64_t term_id_ = 0;
-};
+  return count;
+}
 
 }  // namespace
 
@@ -112,16 +52,24 @@ Result<SkylineBounds> BoundedSkylineProbability(
     return bounds;
   }
 
-  LevelEvaluator evaluator(data, target, candidates, model);
+  const internal::FlatInstance<DoubleOracle> instance =
+      internal::BuildFlatInstance(data, target, candidates,
+                                  DoubleOracle(model));
+  internal::LevelTerms terms(instance);
   const std::size_t max_level = std::min(options.max_level, n);
   KahanSum truncated(1.0);  // 1 - S1 + S2 - ...
   for (std::size_t k = 1; k <= max_level; ++k) {
-    std::uint64_t level_terms = evaluator.LevelTermCount(k);
     if (options.term_budget != 0 &&
-        bounds.terms_computed + level_terms > options.term_budget) {
+        bounds.terms_computed + LevelTermCount(n, k) > options.term_budget) {
       break;  // level would not complete; a partial level certifies nothing
     }
-    double level_sum = evaluator.EvaluateLevel(k, &bounds.terms_computed);
+    KahanSum level;  // S_k
+    terms.ForEach(k, [&](double joint) {
+      level.Add(joint);
+      ++bounds.terms_computed;
+      return true;
+    });
+    const double level_sum = level.Value();
     truncated.Add(k % 2 == 1 ? -level_sum : level_sum);
     double value = truncated.Value();
     if (k % 2 == 1) {

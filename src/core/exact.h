@@ -153,7 +153,8 @@ inline Status TimeLimitExhausted() {
   return Status::ResourceExhausted("exact solver exceeded its time limit");
 }
 
-/// One exact instance, flattened for the DFS hot loop.
+/// One single-target instance, flattened: the exact DFS, the kSerial and
+/// pooled samplers, lineage DP and the level walks below all read it.
 ///
 /// The distinct (dim, value) factors of Eq. 6 — the values where some
 /// candidate differs from the target — are assigned dense pair ids in
@@ -186,9 +187,10 @@ struct FlatInstance {
   }
 };
 
-/// Flattens (data, target, candidates, oracle) into a FlatInstance. All
-/// oracle lookups for the whole solve happen here, once per distinct
-/// (dim, value) pair; the DFS afterwards touches only dense arrays.
+/// Flattens (data, target, candidates, oracle) into a FlatInstance — the
+/// only single-target (dim, value) interner. All oracle lookups for the
+/// whole solve happen here, once per distinct (dim, value) pair; the
+/// engines afterwards touch only dense arrays.
 template <typename Oracle>
 FlatInstance<Oracle> BuildFlatInstance(const Dataset& data, ObjectId target,
                                        std::span<const ObjectId> candidates,
@@ -215,6 +217,51 @@ FlatInstance<Oracle> BuildFlatInstance(const Dataset& data, ObjectId target,
   }
   return instance;
 }
+
+/// Level-ordered inclusion-exclusion over a flattened instance: the
+/// k-subsets I of its candidates in lexicographic order, each with its
+/// Pr(E_I) of Eq. 4 — a pair several members share is multiplied in once,
+/// tracked by per-pair stamps. Serves the Bonferroni bounds (bounds.cc)
+/// and the partial-terms approximation (tentative_approx.cc), which stop
+/// at a level or term budget instead of walking all 2^n subsets. The
+/// instance must outlive the walker.
+class LevelTerms {
+ public:
+  explicit LevelTerms(const FlatInstance<DoubleOracle>& instance)
+      : instance_(&instance), seen_(instance.pair_count(), 0) {}
+
+  /// Calls fn(Pr(E_I)) for each subset I of size k (1 <= k <= candidate
+  /// count) until fn returns false; returns whether the level completed.
+  template <typename Fn>
+  bool ForEach(std::size_t k, Fn&& fn) {
+    const std::size_t n = instance_->candidate_count();
+    std::vector<std::size_t> comb(k);
+    for (std::size_t i = 0; i < k; ++i) comb[i] = i;
+    while (true) {
+      ++term_id_;
+      double joint = 1.0;
+      for (std::size_t pos : comb) {
+        for (std::uint32_t p : instance_->pairs_of(pos)) {
+          if (seen_[p] != term_id_) {
+            seen_[p] = term_id_;
+            joint *= instance_->pair_prob[p];
+          }
+        }
+      }
+      if (!fn(joint)) return false;
+      std::size_t i = k;
+      while (i > 0 && comb[i - 1] == n - k + (i - 1)) --i;
+      if (i == 0) return true;
+      ++comb[i - 1];
+      for (std::size_t t = i; t < k; ++t) comb[t] = comb[t - 1] + 1;
+    }
+  }
+
+ private:
+  const FlatInstance<DoubleOracle>* instance_;
+  std::vector<std::uint64_t> seen_;  // pair id -> last term that used it
+  std::uint64_t term_id_ = 0;
+};
 
 /// The flattened DFS engine: walks the inclusion-exclusion tree over a
 /// prebuilt FlatInstance. The instance must outlive the engine.

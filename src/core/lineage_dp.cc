@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/core/exact.h"
 #include "src/core/solver.h"
 #include "src/util/hash.h"
 
@@ -120,26 +121,22 @@ Result<double> LineageExactSkylineProbability(
     }
   }
 
-  // Collect the distinct variables and each candidate's requirement set.
-  std::unordered_map<std::pair<DimensionId, ValueId>, std::size_t, PairHash>
-      index_of;
+  // The distinct variables are the flattened instance's pairs; each
+  // candidate requires the pairs of its slice.
+  const internal::FlatInstance<DoubleOracle> instance =
+      internal::BuildFlatInstance(data, target, candidates,
+                                  DoubleOracle(model));
   std::vector<Variable> variables;
+  variables.reserve(instance.pair_count());
+  for (double p : instance.pair_prob) variables.push_back(Variable{p, 0});
   std::uint64_t initial_alive = 0;
-  for (std::size_t c = 0; c < candidates.size(); ++c) {
-    bool differs = false;
-    for (DimensionId j = 0; j < data.dimensions(); ++j) {
-      ValueId v = data.value(candidates[c], j);
-      ValueId o = data.value(target, j);
-      if (v == o) continue;
-      differs = true;
-      auto [it, inserted] = index_of.try_emplace({j, v}, variables.size());
-      if (inserted) {
-        variables.push_back(Variable{model.LessEq(j, v, o), 0});
-      }
-      variables[it->second].requires_mask |= std::uint64_t{1} << c;
+  for (std::size_t c = 0; c < instance.candidate_count(); ++c) {
+    const std::uint64_t bit = std::uint64_t{1} << c;
+    for (std::uint32_t p : instance.pairs_of(c)) {
+      variables[p].requires_mask |= bit;
     }
     // A duplicate of the target can never dominate; leave it dead.
-    if (differs) initial_alive |= std::uint64_t{1} << c;
+    if (!instance.pairs_of(c).empty()) initial_alive |= bit;
   }
 
   LineageEngine engine(std::move(variables), options);

@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
-#include <utility>
 
 #include "src/core/dominance.h"
 #include "src/core/sam_internal.h"
 #include "src/util/check.h"
 #include "src/util/failpoint.h"
-#include "src/util/hash.h"
 #include "src/util/random.h"
 
 namespace skypref {
@@ -44,96 +41,6 @@ double HoeffdingEpsilon(std::uint64_t samples, double delta) {
   return eps < 1.0 ? eps : 1.0;
 }
 
-namespace {
-
-/// One world-sampling engine. Relevant preference variables are the
-/// distinct pairs (dim, v) with v = Qi.j != O.j; only "is v preferred to
-/// O.j" matters for O's skyline status, so outcomes are binary. Outcomes
-/// are memoized per world with epoch stamps (no per-world clearing).
-class WorldSampler {
- public:
-  WorldSampler(const Dataset& data, ObjectId target,
-               std::span<const ObjectId> candidates,
-               const PreferenceModel& model)
-      : dimensions_(static_cast<DimensionId>(data.dimensions())) {
-    std::unordered_map<std::pair<DimensionId, ValueId>, std::uint32_t,
-                       PairHash>
-        pair_index;
-    candidate_pairs_.reserve(candidates.size());
-    for (ObjectId id : candidates) {
-      Candidate c;
-      for (DimensionId j = 0; j < dimensions_; ++j) {
-        ValueId v = data.value(id, j);
-        ValueId o = data.value(target, j);
-        if (v == o) continue;
-        auto [it, inserted] = pair_index.try_emplace(
-            {j, v}, static_cast<std::uint32_t>(pair_prob_.size()));
-        if (inserted) {
-          double less_eq = model.LessEq(j, v, o);
-          // Every Bernoulli parameter the sampler will ever draw from is
-          // a model probability; catch a broken model before it skews
-          // thousands of worlds.
-          SKYPREF_DCHECK_PROB(less_eq);
-          pair_prob_.push_back(less_eq);
-        }
-        c.pairs.push_back(it->second);
-      }
-      candidate_pairs_.push_back(std::move(c));
-    }
-    pair_epoch_.assign(pair_prob_.size(), 0);
-    pair_outcome_.assign(pair_prob_.size(), false);
-  }
-
-  std::size_t candidate_count() const { return candidate_pairs_.size(); }
-  std::size_t pair_count() const { return pair_prob_.size(); }
-
-  /// Samples one world; returns true iff the target survives (no
-  /// candidate dominates it). In lazy mode, pair outcomes are drawn only
-  /// when first needed and the world is abandoned at the first dominator.
-  bool SampleWorld(Rng& rng, bool lazy, std::uint64_t* pair_draws) {
-    ++epoch_;
-    if (!lazy) {
-      for (std::uint32_t p = 0; p < pair_prob_.size(); ++p) {
-        pair_outcome_[p] = rng.NextBernoulli(pair_prob_[p]);
-        pair_epoch_[p] = epoch_;
-        ++*pair_draws;
-      }
-    }
-    for (const Candidate& c : candidate_pairs_) {
-      bool dominates = true;
-      for (std::uint32_t p : c.pairs) {
-        if (pair_epoch_[p] != epoch_) {
-          pair_epoch_[p] = epoch_;
-          pair_outcome_[p] = rng.NextBernoulli(pair_prob_[p]);
-          ++*pair_draws;
-        }
-        if (!pair_outcome_[p]) {
-          dominates = false;
-          break;
-        }
-      }
-      // A candidate with no differing dimension would be a duplicate of
-      // the target; Dataset::Validate rejects those, but be conservative.
-      if (dominates && !c.pairs.empty()) return false;
-    }
-    return true;
-  }
-
- private:
-  struct Candidate {
-    std::vector<std::uint32_t> pairs;  // indices into pair_prob_
-  };
-
-  DimensionId dimensions_;
-  std::vector<double> pair_prob_;
-  std::vector<Candidate> candidate_pairs_;
-  std::vector<std::uint64_t> pair_epoch_;
-  std::vector<bool> pair_outcome_;
-  std::uint64_t epoch_ = 0;
-};
-
-}  // namespace
-
 Result<MonteCarloResult> MonteCarloSkylineProbability(
     const Dataset& data, ObjectId target, std::span<const ObjectId> candidates,
     const PreferenceModel& model, const MonteCarloOptions& options) {
@@ -147,7 +54,15 @@ Result<MonteCarloResult> MonteCarloSkylineProbability(
   const std::uint64_t samples = request.samples;
   const Deadline& deadline = request.deadline;
 
-  WorldSampler sampler(data, target, request.ordered, model);
+  const internal::FlatInstance<DoubleOracle> instance =
+      internal::BuildFlatInstance(data, target,
+                                  std::span<const ObjectId>(request.ordered),
+                                  DoubleOracle(model));
+  // Every Bernoulli parameter the sampler will ever draw from is a model
+  // probability; catch a broken model before it skews thousands of worlds.
+  SKYPREF_DCHECK(std::all_of(instance.pair_prob.begin(),
+                             instance.pair_prob.end(), IsProbability));
+  internal::WorldMemo memo(instance.pair_count());
   Rng rng(options.seed);
   MonteCarloResult result;
   result.requested_samples = samples;
@@ -161,7 +76,8 @@ Result<MonteCarloResult> MonteCarloSkylineProbability(
   // floor of truncated runs.
   std::uint64_t draws_at_last_poll = 0;
   for (std::uint64_t h = 0; h < samples; ++h) {
-    if (sampler.SampleWorld(rng, options.lazy, &result.pair_draws)) {
+    if (internal::SampleWorld(instance, memo, rng, options.lazy,
+                              &result.pair_draws)) {
       ++result.skyline_worlds;
     }
     drawn = h + 1;

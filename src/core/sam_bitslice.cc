@@ -34,7 +34,7 @@ inline std::uint64_t ValidLanes(std::uint64_t step) {
 FlatSamInstance PruneImpossible(const FlatSamInstance& inst) {
   constexpr std::uint32_t kUnmapped = ~std::uint32_t{0};
   FlatSamInstance out;
-  std::vector<std::uint32_t> remap(inst.thresholds.size(), kUnmapped);
+  std::vector<std::uint32_t> remap(inst.pair_count(), kUnmapped);
   out.offsets.push_back(0);
   const std::size_t count = inst.candidate_count();
   for (std::size_t c = 0; c < count; ++c) {
@@ -42,7 +42,7 @@ FlatSamInstance PruneImpossible(const FlatSamInstance& inst) {
     const std::uint32_t end = inst.offsets[c + 1];
     bool possible = true;
     for (std::uint32_t i = begin; i < end; ++i) {
-      if (inst.thresholds[inst.pair_ids[i]] == 0) {
+      if (inst.pair_prob[inst.pair_ids[i]] == 0) {
         possible = false;
         break;
       }
@@ -51,8 +51,8 @@ FlatSamInstance PruneImpossible(const FlatSamInstance& inst) {
     for (std::uint32_t i = begin; i < end; ++i) {
       const std::uint32_t p = inst.pair_ids[i];
       if (remap[p] == kUnmapped) {
-        remap[p] = static_cast<std::uint32_t>(out.thresholds.size());
-        out.thresholds.push_back(inst.thresholds[p]);
+        remap[p] = static_cast<std::uint32_t>(out.pair_prob.size());
+        out.pair_prob.push_back(inst.pair_prob[p]);
       }
       out.pair_ids.push_back(remap[p]);
     }
@@ -107,8 +107,8 @@ std::uint64_t SampleChunk(const FlatSamInstance& inst, SliceState& state,
   }
   OctoRng& oct = *state.oct;
   if (!lazy && lane == 0) {
-    for (std::size_t p = 0; p < inst.thresholds.size(); ++p) {
-      NextBernoulliWords8(oct, inst.thresholds[p],
+    for (std::size_t p = 0; p < inst.pair_count(); ++p) {
+      NextBernoulliWords8(oct, inst.pair_prob[p],
                           &state.mask[p * kChunksPerGroup]);
       state.epoch_mark[p] = state.epoch;
       *pair_draws += 64 * kChunksPerGroup;
@@ -125,7 +125,7 @@ std::uint64_t SampleChunk(const FlatSamInstance& inst, SliceState& state,
       const std::uint32_t p = inst.pair_ids[i];
       if (state.epoch_mark[p] != state.epoch) {
         state.epoch_mark[p] = state.epoch;
-        NextBernoulliWords8(oct, inst.thresholds[p],
+        NextBernoulliWords8(oct, inst.pair_prob[p],
                             &state.mask[p * kChunksPerGroup]);
         *pair_draws += 64 * kChunksPerGroup;
       }
@@ -202,12 +202,12 @@ Result<MonteCarloResult> BitSlicedMonteCarloSkylineProbability(
       internal::SamRequest request,
       internal::PrepareSamRequest(data, target, candidates, model, options,
                                   MonteCarloOptions::Engine::kBitSliced));
-  SKYPREF_ASSIGN_OR_RETURN(FlatSamInstance inst,
-                           TryAlloc("alloc.sam.instance", [&] {
-                             return PruneImpossible(
-                                 internal::BuildFlatSamInstance(
-                                     data, target, request.ordered, model));
-                           }));
+  SKYPREF_ASSIGN_OR_RETURN(
+      FlatSamInstance inst, TryAlloc("alloc.sam.instance", [&] {
+        return PruneImpossible(internal::BuildFlatInstance(
+            data, target, std::span<const ObjectId>(request.ordered),
+            internal::CutOracle(model)));
+      }));
   // The per-block mask-memo arenas are allocated inside worker dispatch,
   // where no Status can surface; probe the allocation once up front so
   // an injected (or organic) arena failure lands here deterministically.

@@ -3,11 +3,13 @@
 
 /// \file
 /// Shared plumbing of the Monte-Carlo engines (kSerial in monte_carlo.cc,
-/// kBlock in sam_parallel.cc, kBitSliced in sam_bitslice.cc): the one
-/// request front end every engine starts from, the flattened
-/// single-target instance, the interned ternary batch plan, and the
-/// block-deterministic runner and block-prefix reductions that give the
-/// pooled engines the same seeding/truncation contract.
+/// kBlock in sam_parallel.cc, kBitSliced in sam_bitslice.cc, and the
+/// shared-world estimators of all_worlds.cc): the one request front end
+/// every engine starts from, the scalar single-target world walk over
+/// internal::BuildFlatInstance's instance, the interned ternary batch
+/// plan with its scalar requirement walk, and the block-deterministic
+/// runner and block-prefix reductions that give the pooled engines the
+/// same seeding/truncation contract.
 ///
 /// Everything here is an implementation detail exposed only so the
 /// engine translation units (and their tests) can share one copy of the
@@ -22,6 +24,7 @@
 #include <span>
 #include <vector>
 
+#include "src/core/exact.h"
 #include "src/core/monte_carlo.h"
 #include "src/core/sam_parallel.h"
 #include "src/core/solver.h"
@@ -57,8 +60,10 @@ struct SamRequest {
 /// as \p engine. In order: target and candidate checks (OutOfRange;
 /// InvalidArgument for the target itself), the sample count and the
 /// engine's block-size rule (InvalidArgument; kBlock needs >= 1,
-/// kBitSliced a positive multiple of 64), the deadline, the pre-cancel
-/// check (Cancelled), then the dominance-sorted checking sequence.
+/// kBitSliced a positive multiple of 64, and both a finite count — a
+/// Hoeffding count saturated at UINT64_MAX only the deadline-bounded
+/// kSerial loop can run), the deadline, the pre-cancel check
+/// (Cancelled), then the dominance-sorted checking sequence.
 Result<SamRequest> PrepareSamRequest(const Dataset& data, ObjectId target,
                                      std::span<const ObjectId> candidates,
                                      const PreferenceModel& model,
@@ -66,51 +71,190 @@ Result<SamRequest> PrepareSamRequest(const Dataset& data, ObjectId target,
                                      MonteCarloOptions::Engine engine);
 
 // -------------------------------------------------------------------------
-// The flattened single-target instance
+// The single-target world walk
 // -------------------------------------------------------------------------
 
-/// The single-target instance flattened for the world loop, mirroring the
-/// exact engine's FlatInstance: distinct (dim, value) preference pairs
-/// become integer Bernoulli thresholds and each candidate owns a CSR
-/// slice of pair ids, in checking-sequence order.
-struct FlatSamInstance {
-  std::vector<std::uint64_t> thresholds;  // per distinct pair
-  std::vector<std::uint32_t> pair_ids;    // CSR payload
-  std::vector<std::uint32_t> offsets;     // per candidate, size count+1
+/// Oracle whose "probability" is the 64-bit Bernoulli cut of
+/// Pr(v <= O.j): BuildFlatInstance over it yields the pooled engines'
+/// integer-threshold instance, whose pair_prob[p] is the cut of pair p.
+class CutOracle {
+ public:
+  using NumType = std::uint64_t;
 
-  std::size_t candidate_count() const { return offsets.size() - 1; }
-  std::size_t pair_count() const { return thresholds.size(); }
+  explicit CutOracle(const PreferenceModel& model) : model_(&model) {}
+
+  std::uint64_t LessEq(DimensionId dim, ValueId a, ValueId b) const {
+    const double less_eq = model_->LessEq(dim, a, b);
+    // Every cut the sampler will ever compare against encodes a model
+    // probability; catch a broken model before it skews thousands of
+    // worlds.
+    SKYPREF_DCHECK_PROB(less_eq);
+    return BernoulliThreshold(less_eq);
+  }
+
+ private:
+  const PreferenceModel* model_;
 };
 
-FlatSamInstance BuildFlatSamInstance(const Dataset& data, ObjectId target,
-                                     std::span<const ObjectId> candidates,
-                                     const PreferenceModel& model);
+/// The kBlock/kBitSliced instance: candidates in checking-sequence order.
+using FlatSamInstance = FlatInstance<CutOracle>;
+
+/// One preference draw of the scalar walk. kSerial draws
+/// Rng::NextBernoulli on the double Pr(v <= O.j) (no draw at p = 0 or 1);
+/// kBlock compares one 64-bit draw with the integer cut.
+inline bool DrawPair(Rng& rng, double p) { return rng.NextBernoulli(p); }
+inline bool DrawPair(Rng& rng, std::uint64_t cut) {
+  return ThresholdHit(rng.NextUint64(), cut);
+}
+
+/// Pair outcomes memoized per world with epoch stamps (no per-world
+/// clearing). Each sampler (kSerial's one stream, each kBlock block)
+/// owns one; worlds never share outcomes across memos.
+struct WorldMemo {
+  explicit WorldMemo(std::size_t pairs)
+      : epoch_mark(pairs, 0), outcome(pairs, 0) {}
+
+  std::vector<std::uint64_t> epoch_mark;
+  std::vector<std::uint8_t> outcome;
+  std::uint64_t epoch = 0;
+};
+
+/// Samples one world of \p inst (Algorithm 2's loop body); returns true
+/// iff the target survives. Lazy mode draws a pair's outcome when a
+/// candidate first needs it and abandons the world at the first
+/// dominator; eager mode draws every pair up front, in pair-id order.
+template <typename Oracle>
+bool SampleWorld(const FlatInstance<Oracle>& inst, WorldMemo& memo, Rng& rng,
+                 bool lazy, std::uint64_t* pair_draws) {
+  ++memo.epoch;
+  auto draw = [&](std::uint32_t p) {
+    memo.epoch_mark[p] = memo.epoch;
+    memo.outcome[p] = DrawPair(rng, inst.pair_prob[p]) ? 1 : 0;
+    ++*pair_draws;
+  };
+  if (!lazy) {
+    for (std::uint32_t p = 0; p < inst.pair_count(); ++p) draw(p);
+  }
+  const std::size_t count = inst.candidate_count();
+  for (std::size_t c = 0; c < count; ++c) {
+    const std::span<const std::uint32_t> pairs = inst.pairs_of(c);
+    bool dominates = true;
+    for (std::uint32_t p : pairs) {
+      if (memo.epoch_mark[p] != memo.epoch) draw(p);
+      if (memo.outcome[p] == 0) {
+        dominates = false;
+        break;
+      }
+    }
+    // A candidate with no differing dimension would be a duplicate of the
+    // target; Dataset::Validate rejects those, but be conservative.
+    if (dominates && !pairs.empty()) return false;
+  }
+  return true;
+}
 
 // -------------------------------------------------------------------------
 // The interned ternary batch plan
 // -------------------------------------------------------------------------
 
-/// Ternary orientation outcomes, stored per pair per world by the scalar
-/// batch sampler (the bit-sliced one stores a mask pair instead).
-inline constexpr std::uint8_t kLoPreferred = 0;
-inline constexpr std::uint8_t kHiPreferred = 1;
-inline constexpr std::uint8_t kIncomparable = 2;
-
 /// The whole batch flattened: a global table of ternary orientation
-/// variables (two integer cuts each: draw below cut_lo means lo
-/// preferred, else below cut_hi means hi preferred, else incomparable)
-/// plus a two-level CSR — per target a slice of candidate slots, per
-/// slot a slice of packed requirements (pair_index << 1 | want_hi).
-/// Candidates are in descending dominance-probability order per target.
+/// variables plus a two-level CSR — per target a slice of candidate
+/// slots, per slot a slice of packed requirements (pair_index << 1 |
+/// want_hi). Each variable keeps its model pair (the shared-world
+/// estimators draw on the doubles) and two integer cuts (batch Sam: a
+/// draw below cut_lo means lo preferred, else below cut_hi means hi
+/// preferred, else incomparable). Candidates are in descending
+/// dominance-probability order per target.
 struct BatchPlan {
+  std::vector<PrefPair> prefs;  // (Pr(lo < hi), Pr(hi < lo))
   std::vector<std::uint64_t> cut_lo;
   std::vector<std::uint64_t> cut_hi;
   std::vector<std::uint32_t> reqs;
   std::vector<std::uint32_t> req_offsets;   // per candidate slot, slots+1
   std::vector<std::uint32_t> target_begin;  // per target, n+1, slot indices
+  /// Possible dominators dropped: some required orientation has
+  /// probability exactly zero.
+  std::size_t pruned_candidates = 0;
 
-  std::size_t pair_count() const { return cut_lo.size(); }
+  std::size_t pair_count() const { return prefs.size(); }
 };
+
+/// Phase B of batch Sam: interns the ternary variables of every target's
+/// candidates by their (dim, lo, hi) value-pair key, in target, candidate,
+/// dimension order, and lays out the plan. \p groups holds each target's
+/// candidate groups (Phase A, PartitionAllTargets); when it is empty
+/// every other object is a candidate, visited in ascending order without
+/// materializing the n lists — the plan SharedWorldSampler views, equal
+/// to the one built from unpreprocessed groups.
+BatchPlan BuildBatchPlan(const Dataset& data, const PreferenceModel& model,
+                         std::span<const TargetGroups> groups);
+
+/// A variable's sampled outcome in one world. The values of the two
+/// preferred orientations are a requirement's want_hi bit.
+enum class Orientation : std::uint8_t {
+  kLoPreferred = 0,
+  kHiPreferred = 1,
+  kIncomparable = 2,
+};
+
+/// Batch Sam's draw: one 64-bit draw against the variable's two cuts.
+inline Orientation DrawCut(const BatchPlan& plan, std::uint32_t p, Rng& rng) {
+  const std::uint64_t u = rng.NextUint64();
+  if (ThresholdHit(u, plan.cut_lo[p])) return Orientation::kLoPreferred;
+  return ThresholdHit(u, plan.cut_hi[p]) ? Orientation::kHiPreferred
+                                         : Orientation::kIncomparable;
+}
+
+/// The shared-world estimators' draw: one NextDouble against the model's
+/// doubles.
+inline Orientation DrawPref(const BatchPlan& plan, std::uint32_t p, Rng& rng) {
+  const double u = rng.NextDouble();
+  const PrefPair& pair = plan.prefs[p];
+  if (u < pair.less) return Orientation::kLoPreferred;
+  return u < pair.less + pair.greater ? Orientation::kHiPreferred
+                                      : Orientation::kIncomparable;
+}
+
+/// Orientations memoized per world with epoch stamps; one world is shared
+/// by every target evaluated against the same memo.
+struct BatchMemo {
+  explicit BatchMemo(std::size_t pairs)
+      : epoch_mark(pairs, 0), outcome(pairs, Orientation::kIncomparable) {}
+
+  std::vector<std::uint64_t> epoch_mark;
+  std::vector<Orientation> outcome;
+  std::uint64_t epoch = 0;
+};
+
+/// True iff \p target survives the memo's current world. Orientations
+/// are drawn lazily through Draw and memoized, so every target of the
+/// world sees the same sampled preference — the consistency that makes
+/// shared worlds valid (all_worlds.h).
+template <Orientation (*Draw)(const BatchPlan&, std::uint32_t, Rng&)>
+bool BatchSurvives(const BatchPlan& plan, BatchMemo& memo, ObjectId target,
+                   Rng& rng, std::uint64_t* pair_draws) {
+  const std::uint32_t* reqs = plan.reqs.data();
+  const std::uint32_t* offsets = plan.req_offsets.data();
+  const std::uint32_t* slots_end = offsets + plan.target_begin[target + 1];
+  for (const std::uint32_t* slot = offsets + plan.target_begin[target];
+       slot != slots_end; ++slot) {
+    bool dominates = true;
+    for (const std::uint32_t* r = reqs + slot[0]; r != reqs + slot[1]; ++r) {
+      const std::uint32_t p = *r >> 1;
+      if (memo.epoch_mark[p] != memo.epoch) {
+        memo.epoch_mark[p] = memo.epoch;
+        memo.outcome[p] = Draw(plan, p, rng);
+        ++*pair_draws;
+      }
+      if (memo.outcome[p] != static_cast<Orientation>(*r & 1)) {
+        dominates = false;
+        break;
+      }
+    }
+    if (dominates) return false;
+  }
+  return true;
+}
 
 /// A validated and planned batch Sam query, ready for its world loop.
 struct BatchSamRun {
@@ -122,9 +266,8 @@ struct BatchSamRun {
 
 /// The front end of both batch engines: data and model validation, the
 /// checks of PrepareSamRequest from the sample count on, then the plan —
-/// absorption + partition per target over \p pool (honoring
-/// options.preprocess) and the serial interning of the shared ternary
-/// pair table.
+/// Phase A over \p pool (PartitionAllTargets, honoring
+/// options.preprocess) and BuildBatchPlan.
 Result<BatchSamRun> PrepareBatchSam(const Dataset& data,
                                     const PreferenceModel& model,
                                     ThreadPool& pool,
@@ -173,6 +316,13 @@ inline BlockPrefix CountedPrefix(const std::vector<BlockOutcome>& outcomes) {
   return {std::max<std::uint64_t>(t, 1), true};
 }
 
+/// Blocks of `block_size` worlds covering `samples`, rounded up without
+/// overflowing near UINT64_MAX.
+inline std::uint64_t BlockCount(std::uint64_t samples,
+                                std::uint64_t block_size) {
+  return samples / block_size + (samples % block_size != 0 ? 1 : 0);
+}
+
 /// Fans `samples` worlds out over `pool` in fixed blocks of `block_size`.
 /// `make_block(b)` builds block b's world closure (owning any per-block
 /// state); the closure is then called with (rng, step, &draws) — asked
@@ -191,7 +341,7 @@ Status RunDeterministicBlocks(ThreadPool& pool, std::uint64_t samples,
                               const CancelToken* cancel,
                               std::vector<BlockOutcome>& outcomes,
                               MakeBlockFn&& make_block) {
-  const std::uint64_t num_blocks = (samples + block_size - 1) / block_size;
+  const std::uint64_t num_blocks = BlockCount(samples, block_size);
   outcomes.assign(num_blocks, BlockOutcome{});
 
   // The "sampler.block" failpoint is consumed SERIALLY over the block
@@ -269,9 +419,8 @@ Result<MonteCarloResult> RunSamBlocks(ThreadPool& pool,
                                       const MonteCarloOptions& options,
                                       std::uint64_t chunk,
                                       MakeWorldFn&& make_world) {
-  const std::uint64_t num_blocks =
-      (request.samples + options.block_size - 1) / options.block_size;
-  std::vector<std::uint64_t> survived(num_blocks, 0);
+  std::vector<std::uint64_t> survived(
+      BlockCount(request.samples, options.block_size), 0);
   std::vector<BlockOutcome> outcomes;
   SKYPREF_RETURN_IF_ERROR(RunDeterministicBlocks(
       pool, request.samples, options.block_size, chunk, options.seed,
@@ -313,10 +462,8 @@ Result<std::vector<double>> RunBatchSamBlocks(ThreadPool& pool,
                                               BatchSamStats* stats,
                                               MakeWorldFn&& make_world) {
   const std::size_t n = run.stats.targets;
-  const std::uint64_t num_blocks =
-      (run.samples + mc.block_size - 1) / mc.block_size;
   std::vector<std::vector<std::uint64_t>> survived(
-      num_blocks, std::vector<std::uint64_t>(n, 0));
+      BlockCount(run.samples, mc.block_size), std::vector<std::uint64_t>(n, 0));
   std::vector<BlockOutcome> outcomes;
   SKYPREF_RETURN_IF_ERROR(RunDeterministicBlocks(
       pool, run.samples, mc.block_size, chunk, mc.seed, run.deadline,

@@ -7,11 +7,12 @@
 ///
 /// Three layers on top of the serial estimator of monte_carlo.h:
 ///
-///  1. Flat sampler — the instance is flattened once per solve, like the
-///     exact engine's FlatInstance: the distinct (dim, value) preference
-///     variables become a dense pair table and each candidate carries a
-///     CSR slice of pair ids. Each pair's Bernoulli parameter is
-///     precomputed as a 64-bit integer threshold t = p * 2^64, so the
+///  1. Flat sampler — the instance is the exact engine's FlatInstance,
+///     flattened once per solve by internal::BuildFlatInstance: the
+///     distinct (dim, value) preference variables become a dense pair
+///     table and each candidate carries a CSR slice of pair ids. Each
+///     pair's Bernoulli parameter is precomputed (internal::CutOracle)
+///     as a 64-bit integer threshold t = p * 2^64, so the
 ///     inner loop decides one preference with a single
 ///     `NextUint64() < t` compare — no double conversion per draw.
 ///     (t = UINT64_MAX is reserved as the "p >= 1" sentinel: for any
@@ -108,11 +109,7 @@ Result<MonteCarloResult> PooledMonteCarloSkylineProbability(
     const MonteCarloOptions& options = {});
 
 /// Diagnostics of one batch all-objects estimation.
-struct BatchSamStats {
-  std::size_t targets = 0;
-  std::size_t absorbed = 0;       ///< candidates dropped, summed over targets
-  std::size_t groups = 0;         ///< independence groups, summed over targets
-  std::size_t largest_group = 0;  ///< across all targets
+struct BatchSamStats : BatchPreprocessStats {
   /// Distinct ternary (dim, value-pair) orientation variables interned —
   /// the upper bound on preference draws per world, shared by ALL
   /// targets.

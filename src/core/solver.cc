@@ -184,17 +184,79 @@ Result<double> SkylineSolver::Independent(ObjectId target) const {
   return ClampProbability(product);
 }
 
+namespace internal {
+
 namespace {
 
-/// Packs one (dim, candidate value, target value) preference lookup into
-/// a hashable key; ValueId is 32-bit, so both values fit one uint64.
-using PairKey = std::pair<DimensionId, std::uint64_t>;
-using PairProbCache = std::unordered_map<PairKey, double, PairHash>;
-
-PairKey MakePairKey(DimensionId dim, ValueId a, ValueId b) {
-  return {dim, (static_cast<std::uint64_t>(a) << 32) |
-                   static_cast<std::uint64_t>(b)};
+/// Target t's step of Phase A: absorption against the shared postings,
+/// then the Theorem-4 partition reusing \p workspace.
+TargetGroups AbsorbAndPartition(const Dataset& data, ObjectId t,
+                                const ValuePostings& postings,
+                                PartitionWorkspace& workspace) {
+  std::vector<ObjectId> candidates =
+      AbsorbAllCandidatesIndexed(data, t, postings);
+  return PartitionCandidates(data, t, std::span<const ObjectId>(candidates),
+                             workspace);
 }
+
+}  // namespace
+
+BatchGroups PartitionAllTargets(const Dataset& data, ThreadPool& pool,
+                                bool preprocess, bool guard_alloc,
+                                BatchPreprocessStats& stats) {
+  const std::size_t n = data.size();
+  BatchGroups out;
+  out.groups.resize(n);
+  out.status.resize(n);
+  if (preprocess) {
+    out.postings.emplace(data);
+    constexpr std::size_t kChunk = 16;
+    const std::size_t chunks = (n + kChunk - 1) / kChunk;
+    pool.ParallelFor(chunks, [&](std::size_t c) {
+      PartitionWorkspace workspace;
+      const std::size_t begin = c * kChunk;
+      const std::size_t end = std::min(n, begin + kChunk);
+      for (ObjectId t = begin; t < end; ++t) {
+        auto step = [&] {
+          return AbsorbAndPartition(data, t, *out.postings, workspace);
+        };
+        if (!guard_alloc) {
+          out.groups[t] = step();
+          continue;
+        }
+        auto built = TryAlloc("alloc.batch.partition", step);
+        if (built.ok()) {
+          out.groups[t] = std::move(built).value();
+        } else {
+          out.status[t] = built.status();
+        }
+      }
+    });
+  } else {
+    for (ObjectId t = 0; t < n; ++t) {
+      out.groups[t].push_back(AllObjectsExcept(n, t));
+    }
+  }
+  stats.targets = n;
+  for (ObjectId t = 0; t < n; ++t) {
+    if (!out.status[t].ok()) continue;  // no partition to account for
+    std::size_t after = 0;
+    for (const auto& group : out.groups[t]) {
+      after += group.size();
+      stats.largest_group = std::max(stats.largest_group, group.size());
+    }
+    stats.groups += out.groups[t].size();
+    stats.absorbed += (n - 1) - after;
+  }
+  return out;
+}
+
+}  // namespace internal
+
+namespace {
+
+using PairProbCache =
+    std::unordered_map<internal::ValuePairKey, double, PairHash>;
 
 /// Oracle reading the shared precomputed probability table. Entries are
 /// the exact doubles PreferenceModel::LessEq produced, so solves through
@@ -211,7 +273,7 @@ class CachedDoubleOracle {
   explicit CachedDoubleOracle(const PairProbCache& cache) : cache_(&cache) {}
 
   double LessEq(DimensionId dim, ValueId a, ValueId b) const {
-    auto it = cache_->find(MakePairKey(dim, a, b));
+    auto it = cache_->find(internal::MakeValuePairKey(dim, a, b));
     SKYPREF_DCHECK(it != cache_->end());
     return it->second;
   }
@@ -234,6 +296,29 @@ bool TransientFailure(const Status& status) {
          message.find("time limit") == std::string::npos;
 }
 
+/// Target t's exact value: the product of its groups' solves (Theorem 4),
+/// adding the subsets visited to \p visited. Phase C solves through the
+/// shared cache, the retry pass through the plain oracle.
+template <typename Oracle>
+Result<double> SolveTargetGroups(const Dataset& data, ObjectId t,
+                                 const internal::TargetGroups& groups,
+                                 const Oracle& oracle,
+                                 const ExactOptions& exact,
+                                 std::uint64_t* visited) {
+  double product = 1.0;
+  for (const auto& group : groups) {
+    ExactStats exact_stats;
+    auto result = ExactSkylineProbability(
+        data, t, std::span<const ObjectId>(group), oracle, exact, &exact_stats);
+    *visited += exact_stats.subsets_visited;
+    SKYPREF_RETURN_IF_ERROR(result.status());
+    SKYPREF_DCHECK_PROB(result.value());
+    product *= result.value();
+  }
+  SKYPREF_DCHECK_PROB(product);
+  return ClampProbability(product);
+}
+
 }  // namespace
 
 Result<std::vector<double>> BatchExactSkylineProbabilities(
@@ -244,61 +329,22 @@ Result<std::vector<double>> BatchExactSkylineProbabilities(
   const std::size_t n = data.size();
 
   BatchExactStats local;
-  local.targets = n;
 
   // ONE deadline for the whole batch (see ExactOptions::deadline).
   ExactOptions exact = options.exact;
   exact.deadline = internal::ResolveDeadline(exact);
 
   // Phase A: absorption + partition per target, sharing the global
-  // posting lists; chunked so each worker recycles one workspace. A
-  // target whose workspace allocation fails is marked here and stamped
-  // NaN in Phase C — groups[t].empty() cannot signal the failure because
-  // full absorption legitimately leaves a target with no groups. The
-  // postings outlive Phase A so the retry pass can rebuild a failed
-  // target's partition.
-  std::vector<std::vector<std::vector<ObjectId>>> groups(n);
-  std::vector<Status> statuses(n);
-  std::vector<unsigned char> phase_a_failed(n, 0);
-  std::optional<ValuePostings> postings;
-  if (options.preprocess) {
-    postings.emplace(data);
-    constexpr std::size_t kChunk = 16;
-    const std::size_t chunks = (n + kChunk - 1) / kChunk;
-    pool.ParallelFor(chunks, [&](std::size_t c) {
-      PartitionWorkspace workspace;
-      const std::size_t begin = c * kChunk;
-      const std::size_t end = std::min(n, begin + kChunk);
-      for (ObjectId t = begin; t < end; ++t) {
-        auto built = TryAlloc("alloc.batch.partition", [&] {
-          std::vector<ObjectId> candidates =
-              AbsorbAllCandidatesIndexed(data, t, *postings);
-          return PartitionCandidates(
-              data, t, std::span<const ObjectId>(candidates), workspace);
-        });
-        if (built.ok()) {
-          groups[t] = std::move(built).value();
-        } else {
-          statuses[t] = built.status();
-          phase_a_failed[t] = 1;
-        }
-      }
-    });
-  } else {
-    for (ObjectId t = 0; t < n; ++t) {
-      groups[t].push_back(AllObjectsExcept(n, t));
-    }
-  }
-  for (ObjectId t = 0; t < n; ++t) {
-    if (phase_a_failed[t] != 0) continue;  // no partition to account for
-    std::size_t after = 0;
-    for (const auto& group : groups[t]) {
-      after += group.size();
-      local.largest_group = std::max(local.largest_group, group.size());
-    }
-    local.groups += groups[t].size();
-    local.absorbed += (n - 1) - after;
-  }
+  // posting lists. A target whose allocation fails keeps its Status in
+  // phase_a.status and is stamped NaN in Phase C — groups[t].empty()
+  // cannot signal the failure because full absorption legitimately
+  // leaves a target with no groups. The postings and phase_a.status
+  // outlive Phase A so the retry pass can rebuild a failed target's
+  // partition; `statuses` also collects every later failure.
+  internal::BatchGroups phase_a = internal::PartitionAllTargets(
+      data, pool, options.preprocess, /*guard_alloc=*/true, local);
+  std::vector<internal::TargetGroups>& groups = phase_a.groups;
+  std::vector<Status> statuses = phase_a.status;
 
   // Phase B: every distinct Pr(q.j <= o.j) any target's pair table needs,
   // computed once. Serial — these model lookups ARE the work being
@@ -313,7 +359,7 @@ Result<std::vector<double>> BatchExactSkylineProbabilities(
         for (DimensionId j = 0; j < data.dimensions(); ++j) {
           if (q[j] == o[j]) continue;
           auto [it, inserted] =
-              cache.try_emplace(MakePairKey(j, q[j], o[j]), 0.0);
+              cache.try_emplace(internal::MakeValuePairKey(j, q[j], o[j]), 0.0);
           if (inserted) it->second = oracle.LessEq(j, q[j], o[j]);
         }
       }
@@ -342,7 +388,8 @@ Result<std::vector<double>> BatchExactSkylineProbabilities(
                    });
 
   CachedDoubleOracle cached(cache);
-  std::vector<double> results(n, 1.0);
+  // Every slot starts NaN; only a solved target overwrites it.
+  std::vector<double> results(n, std::numeric_limits<double>::quiet_NaN());
   std::vector<std::uint64_t> visited(n, 0);
   pool.ParallelFor(n, [&](std::size_t k) {
     const ObjectId t = order[k];
@@ -351,41 +398,21 @@ Result<std::vector<double>> BatchExactSkylineProbabilities(
     // query stops) without touching any other target's solve.
     if (SKYPREF_FAILPOINT("batch.target")) {
       statuses[t] = Status::ResourceExhausted("failpoint batch.target");
-      results[t] = std::numeric_limits<double>::quiet_NaN();
       return;
     }
     if (exact.cancel != nullptr && exact.cancel->cancelled()) {
       statuses[t] = CancelledStatus();
-      results[t] = std::numeric_limits<double>::quiet_NaN();
       return;
     }
-    if (!statuses[t].ok()) {
-      // Phase A could not build this target's partition; an empty
-      // groups[t] would silently solve to probability 1.0.
-      results[t] = std::numeric_limits<double>::quiet_NaN();
-      return;
-    }
-    double product = 1.0;
-    Status status;
-    for (const auto& group : groups[t]) {
-      ExactStats exact_stats;
-      auto result = ExactSkylineProbability(
-          data, t, std::span<const ObjectId>(group), cached, exact,
-          &exact_stats);
-      visited[t] += exact_stats.subsets_visited;
-      if (!result.ok()) {
-        status = result.status();
-        break;
-      }
-      SKYPREF_DCHECK_PROB(result.value());
-      product *= result.value();
-    }
-    if (status.ok()) {
-      SKYPREF_DCHECK_PROB(product);
-      results[t] = ClampProbability(product);
+    // Phase A could not build this target's partition; an empty
+    // groups[t] would silently solve to probability 1.0.
+    if (!statuses[t].ok()) return;
+    auto solved =
+        SolveTargetGroups(data, t, groups[t], cached, exact, &visited[t]);
+    if (solved.ok()) {
+      results[t] = *solved;
     } else {
-      statuses[t] = status;
-      results[t] = std::numeric_limits<double>::quiet_NaN();
+      statuses[t] = solved.status();
     }
   });
 
@@ -399,57 +426,39 @@ Result<std::vector<double>> BatchExactSkylineProbabilities(
   //    by construction the cache's entries — and a target whose Phase A
   //    failed has no entries in the cache at all);
   //  * targets that already succeeded are never touched.
-  if (options.retry_failed_targets) {
-    for (ObjectId t = 0; t < n; ++t) {
-      if (statuses[t].ok() || !TransientFailure(statuses[t])) continue;
-      if (exact.cancel != nullptr && exact.cancel->cancelled()) break;
-      if (exact.deadline.has_value() && exact.deadline.Expired()) break;
-      ++local.retried_targets;
-      // The retry dispatch has its own failpoint so chaos schedules can
-      // fail the salvage itself (a double fault must still stamp NaN
-      // plus a well-formed Status, never a bogus value).
-      if (SKYPREF_FAILPOINT("batch.retry")) {
-        statuses[t] = Status::ResourceExhausted("failpoint batch.retry");
+  for (ObjectId t = 0; t < n; ++t) {
+    if (statuses[t].ok() || !TransientFailure(statuses[t])) continue;
+    if (exact.cancel != nullptr && exact.cancel->cancelled()) break;
+    if (exact.deadline.has_value() && exact.deadline.Expired()) break;
+    ++local.retried_targets;
+    // The retry dispatch has its own failpoint so chaos schedules can
+    // fail the salvage itself (a double fault must still stamp NaN
+    // plus a well-formed Status, never a bogus value).
+    if (SKYPREF_FAILPOINT("batch.retry")) {
+      statuses[t] = Status::ResourceExhausted("failpoint batch.retry");
+      continue;
+    }
+    if (!phase_a.status[t].ok()) {
+      auto rebuilt = TryAlloc("alloc.batch.partition", [&] {
+        PartitionWorkspace workspace;
+        return internal::AbsorbAndPartition(data, t, *phase_a.postings,
+                                            workspace);
+      });
+      if (!rebuilt.ok()) {
+        statuses[t] = rebuilt.status();
         continue;
       }
-      if (phase_a_failed[t] != 0) {
-        auto rebuilt = TryAlloc("alloc.batch.partition", [&] {
-          PartitionWorkspace workspace;
-          std::vector<ObjectId> candidates =
-              AbsorbAllCandidatesIndexed(data, t, *postings);
-          return PartitionCandidates(
-              data, t, std::span<const ObjectId>(candidates), workspace);
-        });
-        if (!rebuilt.ok()) {
-          statuses[t] = rebuilt.status();
-          continue;
-        }
-        groups[t] = std::move(rebuilt).value();
-        phase_a_failed[t] = 0;
-      }
-      double product = 1.0;
-      Status status;
-      for (const auto& group : groups[t]) {
-        ExactStats exact_stats;
-        auto result = ExactSkylineProbability(
-            data, t, std::span<const ObjectId>(group), oracle, exact,
-            &exact_stats);
-        visited[t] += exact_stats.subsets_visited;
-        if (!result.ok()) {
-          status = result.status();
-          break;
-        }
-        SKYPREF_DCHECK_PROB(result.value());
-        product *= result.value();
-      }
-      if (status.ok()) {
-        SKYPREF_DCHECK_PROB(product);
-        results[t] = ClampProbability(product);
-        statuses[t] = Status::OK();
-        ++local.salvaged_targets;
-      } else {
-        statuses[t] = status;
-      }
+      groups[t] = std::move(rebuilt).value();
+      phase_a.status[t] = Status::OK();
+    }
+    auto solved =
+        SolveTargetGroups(data, t, groups[t], oracle, exact, &visited[t]);
+    if (solved.ok()) {
+      results[t] = *solved;
+      statuses[t] = Status::OK();
+      ++local.salvaged_targets;
+    } else {
+      statuses[t] = solved.status();
     }
   }
 

@@ -18,9 +18,12 @@
 /// actually samples; singleton groups are computed exactly for free.
 
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "src/core/absorption.h"
 #include "src/core/exact.h"
 #include "src/core/monte_carlo.h"
 #include "src/model/dataset.h"
@@ -35,14 +38,6 @@ namespace skypref {
 struct SolverOptions {
   /// Run absorption + partition first (the "+" algorithm variants).
   bool preprocess = true;
-  /// Batch solves only: give each target that failed on a TRANSIENT
-  /// fault (allocation failure, injected scheduler fault — never a blown
-  /// budget or deadline, which fail identically on retry) one serial
-  /// re-dispatch against the remaining shared deadline before stamping
-  /// it NaN. Retry order is ascending ObjectId and salvaged values are
-  /// bit-identical to their fault-free values; see
-  /// BatchExactSkylineProbabilities.
-  bool retry_failed_targets = true;
   ExactOptions exact;
   MonteCarloOptions monte_carlo;
 };
@@ -116,12 +111,58 @@ class SkylineSolver {
   const PreferenceModel* model_;
 };
 
-/// Diagnostics of one batch all-objects solve.
-struct BatchExactStats {
+/// Preprocessing diagnostics of a batch all-objects solve, exact or
+/// sampled.
+struct BatchPreprocessStats {
   std::size_t targets = 0;
   std::size_t absorbed = 0;       ///< candidates dropped, summed over targets
   std::size_t groups = 0;         ///< independence groups, summed over targets
   std::size_t largest_group = 0;  ///< across all targets
+};
+
+namespace internal {
+
+/// One target's candidate groups, in CandidateGroups' shape.
+using TargetGroups = std::vector<std::vector<ObjectId>>;
+
+/// Phase A of both batch solvers (BatchExactSkylineProbabilities and
+/// batch Sam, sam_parallel.h).
+struct BatchGroups {
+  /// The (dim, value) -> objects posting lists driving absorption,
+  /// engaged when preprocessing; kept so a target can be rebuilt.
+  std::optional<ValuePostings> postings;
+  std::vector<TargetGroups> groups;  ///< per target
+  /// Per target: OK, or why its groups could not be built.
+  std::vector<Status> status;
+};
+
+/// Every target's candidate groups. With \p preprocess, builds the shared
+/// posting lists once and absorbs + partitions each target against them,
+/// in chunks over \p pool so each worker recycles one PartitionWorkspace;
+/// without, each target gets one group of every other object. With
+/// \p guard_alloc each target's step runs under
+/// TryAlloc("alloc.batch.partition") and a failure lands in status[t]
+/// (the batch exact solver's per-target fault boundary). Fills \p stats
+/// from the targets whose groups were built.
+BatchGroups PartitionAllTargets(const Dataset& data, ThreadPool& pool,
+                                bool preprocess, bool guard_alloc,
+                                BatchPreprocessStats& stats);
+
+/// One (dimension, value, value) preference lookup packed into a hashable
+/// key (ValueId is 32-bit, so both values fit one uint64): the batch
+/// exact solver's probability cache keys (candidate value, target
+/// value), the batch Sam plan its ternary variables (lo, hi).
+using ValuePairKey = std::pair<DimensionId, std::uint64_t>;
+
+inline ValuePairKey MakeValuePairKey(DimensionId dim, ValueId a, ValueId b) {
+  return {dim, (static_cast<std::uint64_t>(a) << 32) |
+                   static_cast<std::uint64_t>(b)};
+}
+
+}  // namespace internal
+
+/// Diagnostics of one batch all-objects solve.
+struct BatchExactStats : BatchPreprocessStats {
   /// Distinct (dim, value-pair) preference probabilities computed once
   /// and shared by every target's flattened pair table.
   std::size_t distinct_pair_probs = 0;
@@ -135,7 +176,7 @@ struct BatchExactStats {
   /// Number of non-OK entries in target_status.
   std::size_t failed_targets = 0;
   /// Targets re-dispatched by the retry salvage pass (transient failures
-  /// only; see SolverOptions::retry_failed_targets).
+  /// only; see BatchExactSkylineProbabilities).
   std::size_t retried_targets = 0;
   /// Retried targets whose re-dispatch succeeded; these carry their
   /// bit-identical exact value and an OK target_status, not NaN.
@@ -168,11 +209,11 @@ struct BatchExactStats {
 /// NaN, targets that failed on TRANSIENT faults — allocation failure,
 /// injected scheduler faults, anything ResourceExhausted that is not a
 /// deterministic budget/deadline exhaustion — get one re-dispatch in
-/// ascending ObjectId order against the remaining shared deadline
-/// (SolverOptions::retry_failed_targets); salvaged values are
-/// bit-identical to their fault-free values. The call itself fails only
-/// on invalid input or when options.exact.cancel is tripped —
-/// cancellation abandons the whole query with Status::Cancelled.
+/// ascending ObjectId order against the remaining shared deadline;
+/// salvaged values are bit-identical to their fault-free values. The call
+/// itself fails only on invalid input or when options.exact.cancel is
+/// tripped — cancellation abandons the whole query with
+/// Status::Cancelled.
 Result<std::vector<double>> BatchExactSkylineProbabilities(
     const Dataset& data, const PreferenceModel& model, ThreadPool& pool,
     const SolverOptions& options = {}, BatchExactStats* stats = nullptr);

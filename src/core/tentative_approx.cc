@@ -52,59 +52,21 @@ Result<PartialTermsResult> ApproxPartialTerms(
     return Status::InvalidArgument("term budget must be positive");
   }
 
-  const std::size_t n = candidates.size();
-  const DimensionId d = static_cast<DimensionId>(data.dimensions());
-
-  // Per-dimension "seen in the current term" stamps so each distinct value
-  // is multiplied once per subset (Eq. 6).
-  std::vector<std::vector<std::uint64_t>> seen(d);
-  for (DimensionId j = 0; j < d; ++j) {
-    ValueId bound = data.value(target, j) + 1;
-    for (ObjectId id : candidates) {
-      bound = std::max(bound, static_cast<ValueId>(data.value(id, j) + 1));
-    }
-    seen[j].assign(bound, 0);
-  }
-
+  const internal::FlatInstance<DoubleOracle> instance =
+      internal::BuildFlatInstance(data, target, candidates,
+                                  DoubleOracle(model));
+  internal::LevelTerms terms(instance);
   KahanSum sum(1.0);  // the k = 0 term
   PartialTermsResult result;
-  std::uint64_t term_id = 0;
-
-  for (std::size_t k = 1; k <= n; ++k) {
-    bool level_entered = false;
-    // Iterate k-combinations of candidate positions in lexicographic order.
-    std::vector<std::size_t> comb(k);
-    for (std::size_t i = 0; i < k; ++i) comb[i] = i;
-    while (true) {
-      if (result.terms_computed == term_budget) {
-        result.estimate = sum.Value();
-        return result;
-      }
-      level_entered = true;
-      ++term_id;
-      double joint = 1.0;
-      for (std::size_t pos : comb) {
-        std::span<const ValueId> q = data.object(candidates[pos]);
-        for (DimensionId j = 0; j < d; ++j) {
-          ValueId v = q[j];
-          if (v == data.value(target, j)) continue;
-          if (seen[j][v] != term_id) {
-            seen[j][v] = term_id;
-            joint *= model.LessEq(j, v, data.value(target, j));
-          }
-        }
-      }
+  for (std::size_t k = 1; k <= candidates.size(); ++k) {
+    const bool complete = terms.ForEach(k, [&](double joint) {
+      if (result.terms_computed == term_budget) return false;
       sum.Add((k % 2 == 1) ? -joint : joint);
       ++result.terms_computed;
-
-      // Advance the combination.
-      std::size_t i = k;
-      while (i > 0 && comb[i - 1] == n - k + (i - 1)) --i;
-      if (i == 0) break;
-      ++comb[i - 1];
-      for (std::size_t t = i; t < k; ++t) comb[t] = comb[t - 1] + 1;
-    }
-    if (level_entered) result.deepest_level = k;
+      return true;
+    });
+    if (!complete) break;
+    result.deepest_level = k;
   }
   result.estimate = sum.Value();
   return result;

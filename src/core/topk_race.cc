@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/core/all_worlds.h"
+#include "src/core/monte_carlo.h"
 #include "src/util/random.h"
 
 namespace skypref {
@@ -27,8 +28,10 @@ Result<TopKRaceResult> TopKSkylineRace(const Dataset& data,
     return Status::InvalidArgument("k must satisfy 1 <= k <= n, got " +
                                    std::to_string(k));
   }
-  if (options.delta <= 0.0 || options.delta >= 1.0 ||
-      options.epsilon_floor <= 0.0 || options.batch == 0) {
+  // Written so NaN fails every comparison and lands here.
+  if (!(options.delta > 0.0 && options.delta < 1.0) ||
+      !(options.epsilon_floor > 0.0 && std::isfinite(options.epsilon_floor)) ||
+      options.batch == 0) {
     return Status::InvalidArgument("invalid race options");
   }
 
@@ -42,8 +45,8 @@ Result<TopKRaceResult> TopKSkylineRace(const Dataset& data,
     double rough_rounds = 64.0;
     double log_term =
         std::log(2.0 * static_cast<double>(n) * rough_rounds / options.delta);
-    max_worlds = static_cast<std::uint64_t>(
-        std::ceil(log_term / (2.0 * half_floor * half_floor)));
+    max_worlds = internal::SaturatingSampleCount(
+        log_term / (2.0 * half_floor * half_floor));
   }
   const std::uint64_t rounds_cap = max_worlds / options.batch + 1;
   const double delta_per_test =

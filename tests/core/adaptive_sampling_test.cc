@@ -1,6 +1,8 @@
 #include "src/core/adaptive_sampling.h"
 
 #include <cmath>
+#include <limits>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -145,6 +147,27 @@ TEST(AdaptiveSamplingTest, RejectsBadOptions) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
+}
+
+// A NaN epsilon fails every comparison: let through, it saturates the
+// Hoeffding cap and no radius ever satisfies the stopping rule, so the
+// checkpoint loop would never return.
+TEST(AdaptiveSamplingTest, RejectsNonFiniteOptions) {
+  Dataset data = Example1Dataset();
+  TablePreferenceModel model;
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (auto [epsilon, delta] : {std::pair{kNaN, 0.01}, std::pair{kInf, 0.01},
+                                std::pair{0.01, kNaN}}) {
+    AdaptiveOptions bad;
+    bad.epsilon = epsilon;
+    bad.delta = delta;
+    EXPECT_EQ(AdaptiveMonteCarloSkylineProbability(data, 0, model, bad)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "epsilon=" << epsilon << " delta=" << delta;
+  }
 }
 
 }  // namespace

@@ -163,44 +163,13 @@ TEST_F(FailpointTest, BatchTargetSiteCasualtyIsSalvagedByTheRetryPass) {
   }
 }
 
-TEST_F(FailpointTest, BatchTargetSiteWithRetryDisabledFailsExactlyOneTarget) {
+TEST_F(FailpointTest, BatchRetrySiteDoubleFaultStampsNaNWithRetryStatus) {
   SKYPREF_REQUIRE_FAILPOINTS();
   Dataset data = RandomSmallDataset(73, 12, 2, 4);
   TablePreferenceModel model;
   ThreadPool pool(2);
   auto clean = BatchExactSkylineProbabilities(data, model, pool);
   ASSERT_TRUE(clean.ok());
-
-  SolverOptions options;
-  options.retry_failed_targets = false;
-  failpoint::ScopedFailpoint armed("batch.target");
-  BatchExactStats stats;
-  auto run =
-      BatchExactSkylineProbabilities(data, model, pool, options, &stats);
-  ASSERT_TRUE(run.ok()) << run.status();
-  EXPECT_EQ(stats.failed_targets, 1u);
-  EXPECT_EQ(stats.retried_targets, 0u);
-  EXPECT_EQ(stats.salvaged_targets, 0u);
-  std::size_t failed = 0;
-  for (ObjectId t = 0; t < data.size(); ++t) {
-    if (stats.target_status[t].ok()) {
-      // Surviving targets keep their bit-identical exact values.
-      EXPECT_EQ((*run)[t], (*clean)[t]) << "target " << t;
-    } else {
-      ++failed;
-      EXPECT_EQ(stats.target_status[t].code(),
-                StatusCode::kResourceExhausted);
-      EXPECT_TRUE(std::isnan((*run)[t]));
-    }
-  }
-  EXPECT_EQ(failed, 1u);
-}
-
-TEST_F(FailpointTest, BatchRetrySiteDoubleFaultStampsNaNWithRetryStatus) {
-  SKYPREF_REQUIRE_FAILPOINTS();
-  Dataset data = RandomSmallDataset(73, 12, 2, 4);
-  TablePreferenceModel model;
-  ThreadPool pool(2);
   // First fault kills one target's dispatch; the second kills its one
   // salvage attempt. The slot must end as NaN plus the RETRY failure —
   // never a stale or fabricated value.
@@ -214,7 +183,11 @@ TEST_F(FailpointTest, BatchRetrySiteDoubleFaultStampsNaNWithRetryStatus) {
   EXPECT_EQ(stats.salvaged_targets, 0u);
   std::size_t failed = 0;
   for (ObjectId t = 0; t < data.size(); ++t) {
-    if (stats.target_status[t].ok()) continue;
+    if (stats.target_status[t].ok()) {
+      // Surviving targets keep their bit-identical exact values.
+      EXPECT_EQ((*run)[t], (*clean)[t]) << "target " << t;
+      continue;
+    }
     ++failed;
     EXPECT_EQ(stats.target_status[t].code(), StatusCode::kResourceExhausted);
     EXPECT_NE(stats.target_status[t].message().find("batch.retry"),

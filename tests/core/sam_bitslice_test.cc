@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -70,6 +71,24 @@ TEST(BitSlicedSamTest, RejectsBlockSizeNotAMultipleOf64) {
             .code(),
         StatusCode::kInvalidArgument)
         << "block_size=" << block_size;
+  }
+}
+
+// A saturated Hoeffding count (epsilon = 1e-12 or NaN) is rejected, not
+// wrapped to zero blocks and a 0/0 estimate.
+TEST(BitSlicedSamTest, SaturatedSampleCountRejected) {
+  Dataset data = Figure1Dataset();
+  TablePreferenceModel model;
+  ThreadPool pool(0);
+  for (double epsilon : {1e-12, std::numeric_limits<double>::quiet_NaN()}) {
+    MonteCarloOptions options;
+    options.epsilon = epsilon;
+    EXPECT_EQ(
+        BitSlicedMonteCarloSkylineProbability(data, 0, model, pool, options)
+            .status()
+            .code(),
+        StatusCode::kInvalidArgument)
+        << "epsilon=" << epsilon;
   }
 }
 
@@ -305,6 +324,19 @@ TEST(BitSlicedBatchTest, AgreesWithScalarBatchWithinSummedBars) {
   for (ObjectId t = 0; t < data.size(); ++t) {
     EXPECT_NEAR((*a)[t], (*b)[t], bar) << "target=" << t;
   }
+}
+
+TEST(BitSlicedBatchTest, SaturatedSampleCountRejected) {
+  Dataset data = Figure1Dataset();
+  TablePreferenceModel model;
+  ThreadPool pool(2);
+  SolverOptions options;
+  options.monte_carlo.engine = MonteCarloOptions::Engine::kBitSliced;
+  options.monte_carlo.epsilon = 1e-12;
+  EXPECT_EQ(BatchMonteCarloSkylineProbabilities(data, model, pool, options)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(SolverEngineTest, BitSlicedEngineThroughSolverMatchesDirectCall) {

@@ -255,6 +255,32 @@ TEST(BlockSamTest, InvalidArgumentsRejected) {
             StatusCode::kInvalidArgument);
 }
 
+// epsilon = 1e-12 (or NaN) saturates the Hoeffding count at UINT64_MAX.
+// The deadline-bounded kSerial loop runs such a request until its time
+// limit; the block engine would need more blocks than it can count and
+// rejects it.
+TEST(BlockSamTest, SaturatedSampleCountRejected) {
+  Dataset data = Figure1Dataset();
+  TablePreferenceModel model;
+  ThreadPool pool(0);
+  for (double epsilon : {1e-12, std::numeric_limits<double>::quiet_NaN()}) {
+    MonteCarloOptions options;
+    options.epsilon = epsilon;
+    EXPECT_EQ(BlockMonteCarloSkylineProbability(data, 0, model, pool, options)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "epsilon=" << epsilon;
+  }
+  MonteCarloOptions serial;
+  serial.epsilon = 1e-12;
+  serial.time_limit_seconds = 0.01;
+  auto run = MonteCarloSkylineProbability(data, 0, model, serial);
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_TRUE(run->truncated);
+  EXPECT_GT(run->samples, 0u);
+}
+
 // One front end serves every engine: the same malformed request fails
 // with the same code whichever engine runs it, and a pre-cancelled token
 // stops each one before any world is drawn. Only the block-size rule is
@@ -507,6 +533,18 @@ TEST(BatchSamTest, PreCancelledTokenReturnsCancelled) {
                 .status()
                 .code(),
             StatusCode::kCancelled);
+}
+
+TEST(BatchSamTest, SaturatedSampleCountRejected) {
+  Dataset data = Figure1Dataset();
+  TablePreferenceModel model;
+  ThreadPool pool(2);
+  SolverOptions options;
+  options.monte_carlo.epsilon = 1e-12;
+  EXPECT_EQ(BatchMonteCarloSkylineProbabilities(data, model, pool, options)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(SolverEngineTest, BlockEngineThroughSolverMatchesDirectCall) {

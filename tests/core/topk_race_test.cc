@@ -1,7 +1,9 @@
 #include "src/core/topk_race.h"
 
 #include <algorithm>
+#include <limits>
 #include <set>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -118,6 +120,24 @@ TEST(TopKRaceTest, RejectsBadArguments) {
   bad.batch = 0;
   EXPECT_EQ(TopKSkylineRace(data, model, 1, bad).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// NaN fails every comparison; let through, a NaN world cap would be cast
+// to uint64 (undefined behavior) and the race would return OK anyway.
+TEST(TopKRaceTest, RejectsNonFiniteOptions) {
+  Dataset data = Example1Dataset();
+  TablePreferenceModel model;
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (auto [delta, floor] : {std::pair{kNaN, 0.005}, std::pair{0.01, kNaN},
+                              std::pair{0.01, kInf}}) {
+    TopKRaceOptions bad;
+    bad.delta = delta;
+    bad.epsilon_floor = floor;
+    EXPECT_EQ(TopKSkylineRace(data, model, 1, bad).status().code(),
+              StatusCode::kInvalidArgument)
+        << "delta=" << delta << " epsilon_floor=" << floor;
+  }
 }
 
 }  // namespace
