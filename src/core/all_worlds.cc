@@ -1,9 +1,12 @@
 #include "src/core/all_worlds.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #include "src/core/monte_carlo.h"
+#include "src/util/check.h"
 
 namespace skypref {
 
@@ -18,12 +21,24 @@ std::uint64_t AllWorldsSampleSize(double epsilon, double delta,
 SharedWorldSampler::SharedWorldSampler(const Dataset& data,
                                        const PreferenceModel& model)
     : plan_(internal::BuildBatchPlan(data, model, {})),
-      memo_(plan_.pair_count()) {}
+      slice_(plan_.pair_count()),
+      word_(data.size(), 0),
+      word_epoch_(data.size(), 0) {}
 
-bool SharedWorldSampler::Survives(ObjectId target, Rng& rng,
-                                  std::uint64_t* pair_draws) {
-  return internal::BatchSurvives<internal::DrawPref>(plan_, memo_, target, rng,
-                                                     pair_draws);
+std::uint64_t SharedWorldSampler::ChunkSurvivors(ObjectId target, Rng& rng,
+                                                 std::uint64_t* pair_draws) {
+  // Before the first advance every stamp equals the epoch (0), so
+  // without this check the call would return a zero-initialized word
+  // without drawing.
+  SKYPREF_CHECK(world_ != kNoWorld);
+  if (word_epoch_[target] != slice_.epoch) {
+    word_epoch_[target] = slice_.epoch;
+    // All 64 lanes, even past the caller's last world: the words, and so
+    // the draws, must not depend on how many worlds the caller wants.
+    word_[target] = internal::BatchChunkSurvivors(plan_, slice_, target, rng,
+                                                  ~0ULL, pair_draws);
+  }
+  return word_[target];
 }
 
 Result<AllWorldsResult> EstimateAllSkylineProbabilities(
@@ -39,6 +54,13 @@ Result<AllWorldsResult> EstimateAllSkylineProbabilities(
     return Status::InvalidArgument(
         "all-worlds estimation needs samples > 0 (or valid epsilon/delta)");
   }
+  // No partial result is ever returned, so a count no deadline lets
+  // finish could only end in ResourceExhausted — or never.
+  if (samples == std::numeric_limits<std::uint64_t>::max()) {
+    return Status::InvalidArgument(
+        "all-worlds sample count saturated (epsilon too small, or epsilon "
+        "or delta NaN)");
+  }
 
   const Deadline deadline = options.deadline.has_value()
                                 ? *options.deadline
@@ -50,16 +72,17 @@ Result<AllWorldsResult> EstimateAllSkylineProbabilities(
   result.samples = samples;
   std::vector<std::uint64_t> survived(n, 0);
 
-  for (std::uint64_t h = 0; h < samples; ++h) {
-    // Poll every 64 worlds — one world touches every object, so this is
-    // already a coarse-grained checkpoint; h == 0 is included so a
-    // pre-cancelled token stops before any sampling work.
-    if ((h & 63) == 0) {
-      SKYPREF_RETURN_IF_ERROR(CheckStop(options.cancel, deadline));
-    }
-    sampler.NextWorld();
+  const std::uint64_t chunks = internal::BlockCount(samples, 64);
+  for (std::uint64_t c = 0; c < chunks; ++c) {
+    // One poll per chunk — a chunk touches every object 64 times over;
+    // c == 0 is included so a pre-cancelled token stops before any
+    // sampling work.
+    SKYPREF_RETURN_IF_ERROR(CheckStop(options.cancel, deadline));
+    sampler.NextChunk();
+    const std::uint64_t valid = internal::ValidLanes(samples - 64 * c);
     for (ObjectId i = 0; i < n; ++i) {
-      if (sampler.Survives(i, rng, &result.pair_draws)) ++survived[i];
+      survived[i] += static_cast<std::uint64_t>(std::popcount(
+          sampler.ChunkSurvivors(i, rng, &result.pair_draws) & valid));
     }
   }
 
@@ -74,7 +97,8 @@ Result<AllWorldsResult> EstimateAllSkylineProbabilities(
 Result<std::vector<ObjectId>> ProbabilisticSkyline(
     const Dataset& data, const PreferenceModel& model, double tau,
     const AllWorldsOptions& options) {
-  if (tau <= 0.0 || tau >= 1.0) {
+  // Written so NaN fails the comparison and lands here.
+  if (!(tau > 0.0 && tau < 1.0)) {
     return Status::InvalidArgument(
         "probabilistic skyline threshold must lie in (0,1)");
   }

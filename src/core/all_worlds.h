@@ -46,7 +46,8 @@ struct AllWorldsOptions {
   /// bound over all objects.
   std::uint64_t samples = 0;
   std::uint64_t seed = 0xa11c0e5ULL;
-  /// Cooperative stop signals (src/util/cancel.h), polled every 64 worlds.
+  /// Cooperative stop signals (src/util/cancel.h), polled once per
+  /// 64-world chunk.
   /// Cancellation -> Status::Cancelled; expiry -> ResourceExhausted.
   const CancelToken* cancel = nullptr;
   /// Absolute deadline; wins over time_limit_seconds when both are set.
@@ -60,13 +61,17 @@ struct AllWorldsResult {
   /// estimates[i] approximates sky(object i).
   std::vector<double> estimates;
   std::uint64_t samples = 0;
-  /// Total ternary preference draws across all worlds.
+  /// Ternary preference draws, counted 64 per mask word as in the
+  /// bit-sliced engines: every chunk draws full 64-world words, also for
+  /// lanes past `samples`.
   std::uint64_t pair_draws = 0;
 };
 
 /// Worlds needed for simultaneous epsilon/delta guarantees over n objects:
 /// ceil(ln(2n/delta) / (2 epsilon^2)), saturating at UINT64_MAX like
-/// HoeffdingSampleSize; 0 when epsilon/delta are invalid or n == 0.
+/// HoeffdingSampleSize (NaN epsilon or delta, or epsilon below about
+/// 1e-10); 0 when epsilon/delta are invalid or n == 0. The estimators
+/// below reject a saturated count.
 std::uint64_t AllWorldsSampleSize(double epsilon, double delta, std::size_t n);
 
 /// Shared-world sampler: a view over the batch Sam plan built without
@@ -76,13 +81,20 @@ std::uint64_t AllWorldsSampleSize(double epsilon, double delta, std::size_t n);
 /// applied to every target). Candidates with dominance probability
 /// exactly zero are dropped — they can never dominate in any world.
 ///
-/// One world is shared by all targets: preferences are sampled lazily and
-/// memoized per world, so two targets querying the same value pair see
-/// the same orientation. Each orientation is one Rng::NextDouble draw
-/// against the model's doubles (batch Sam draws against integer cuts
-/// instead). Construction is O(n^2 d) worst case but only stores
-/// possible dominators. Powers EstimateAllSkylineProbabilities and the
-/// top-k race (src/core/topk_race.h).
+/// Worlds come in 64-world chunks: world h is lane h % 64 of chunk
+/// h / 64. Per chunk, each preference variable is drawn as two mutually
+/// exclusive mask words (lo preferred, hi preferred) by NextTernaryWords
+/// from the caller's Rng, lazily on first touch and shared by every
+/// target, so two targets querying the same value pair see the same
+/// orientation in every world. A target's survivor word for the chunk
+/// comes from batch Sam's bit-sliced walk (internal::BatchChunkSurvivors)
+/// over all 64 lanes, at the first request, and is memoized until the
+/// chunk ends. The draws therefore depend only on the order in which
+/// targets first ask within each chunk, never on which world asks:
+/// looping NextWorld/Survives over targets in ascending order draws
+/// exactly what EstimateAllSkylineProbabilities draws. Powers
+/// EstimateAllSkylineProbabilities and the top-k race
+/// (src/core/topk_race.h).
 class SharedWorldSampler {
  public:
   SharedWorldSampler(const Dataset& data, const PreferenceModel& model);
@@ -95,17 +107,43 @@ class SharedWorldSampler {
     return plan_.target_begin[target + 1] - plan_.target_begin[target];
   }
 
-  /// Advances to a fresh world; previously sampled outcomes are dropped.
-  void NextWorld() { ++memo_.epoch; }
+  /// Advances to the next world; the first call enters world 0. Every
+  /// 64th world starts a fresh chunk.
+  void NextWorld() {
+    if ((++world_ & 63) == 0) ++slice_.epoch;
+  }
 
-  /// True iff \p target survives (is undominated in) the current world.
-  /// Preferences are sampled on demand from \p rng and shared across all
-  /// Survives() calls of the same world.
-  bool Survives(ObjectId target, Rng& rng, std::uint64_t* pair_draws);
+  /// Advances to the first world of the next chunk; the first call
+  /// enters world 0.
+  void NextChunk() {
+    world_ = (world_ | 63) + 1;
+    ++slice_.epoch;
+  }
+
+  /// Survivor word of \p target over the current world's chunk c: bit k
+  /// is set iff the target survives world 64c + k. Masks are drawn on
+  /// demand from \p rng, 64 draws per mask word added to \p pair_draws.
+  /// Precondition (checked): NextWorld or NextChunk was called.
+  std::uint64_t ChunkSurvivors(ObjectId target, Rng& rng,
+                               std::uint64_t* pair_draws);
+
+  /// True iff \p target survives (is undominated in) the current world:
+  /// its lane of ChunkSurvivors. Same precondition.
+  bool Survives(ObjectId target, Rng& rng, std::uint64_t* pair_draws) {
+    return ((ChunkSurvivors(target, rng, pair_draws) >> (world_ & 63)) & 1) !=
+           0;
+  }
 
  private:
+  /// Before the first NextWorld/NextChunk; the first advance wraps to 0.
+  static constexpr std::uint64_t kNoWorld = ~std::uint64_t{0};
+
   internal::BatchPlan plan_;
-  internal::BatchMemo memo_;
+  internal::BatchSliceState slice_;
+  /// Per target: the survivor word of chunk epoch word_epoch_[t].
+  std::vector<std::uint64_t> word_;
+  std::vector<std::uint64_t> word_epoch_;
+  std::uint64_t world_ = kNoWorld;
 };
 
 /// Estimates sky() of every object by shared-world sampling.

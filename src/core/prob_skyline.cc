@@ -6,7 +6,8 @@ Result<std::vector<ObjectId>> ExactProbabilisticSkyline(
     const Dataset& data, const PreferenceModel& model, double tau,
     const BoundsOptions& options, ProbSkylineStats* stats) {
   SKYPREF_RETURN_IF_ERROR(data.Validate());
-  if (tau <= 0.0 || tau > 1.0) {
+  // Written so NaN fails the comparison and lands here.
+  if (!(tau > 0.0 && tau <= 1.0)) {
     return Status::InvalidArgument(
         "probabilistic skyline threshold must lie in (0,1]");
   }

@@ -16,11 +16,7 @@ namespace {
 
 using internal::BatchPlan;
 using internal::FlatSamInstance;
-
-/// Lanes [0, step) of a possibly-partial trailing chunk.
-inline std::uint64_t ValidLanes(std::uint64_t step) {
-  return step >= 64 ? ~0ULL : ((1ULL << step) - 1);
-}
+using internal::ValidLanes;
 
 /// Drops candidates that can dominate in NO world — some required pair
 /// has probability exactly zero — and compacts the pair table to the
@@ -134,56 +130,6 @@ std::uint64_t SampleChunk(const FlatSamInstance& inst, SliceState& state,
     }
     dominated |= acc;
     if ((dominated & valid) == valid) break;  // every lane already dominated
-  }
-  return ~dominated & valid;
-}
-
-// -------------------------------------------------------------------------
-// Batch chunk state
-// -------------------------------------------------------------------------
-
-/// Per-block mask memo of the batch engine: per distinct ternary pair,
-/// TWO mutually exclusive masks per chunk (lo-beats-hi, hi-beats-lo)
-/// drawn jointly by NextTernaryWords and shared by every target.
-struct BatchSliceState {
-  explicit BatchSliceState(std::size_t pairs)
-      : epoch_mark(pairs, 0), lo_mask(pairs), hi_mask(pairs) {}
-
-  std::vector<std::uint64_t> epoch_mark;
-  std::vector<std::uint64_t> lo_mask;
-  std::vector<std::uint64_t> hi_mask;
-  std::uint64_t epoch = 0;
-};
-
-/// Worlds of the current chunk in which \p target survives. Orientation
-/// masks are drawn lazily on first touch (always lazy, like the scalar
-/// batch sampler) and memoized for the rest of the chunk, so all targets
-/// see the same 64 sampled worlds.
-std::uint64_t BatchChunkSurvivors(const BatchPlan& plan, BatchSliceState& state,
-                                  ObjectId target, Rng& rng,
-                                  std::uint64_t valid,
-                                  std::uint64_t* pair_draws) {
-  std::uint64_t dominated = 0;
-  const std::uint32_t begin = plan.target_begin[target];
-  const std::uint32_t end = plan.target_begin[target + 1];
-  for (std::uint32_t slot = begin; slot < end; ++slot) {
-    std::uint64_t acc = ~0ULL;
-    const std::uint32_t rb = plan.req_offsets[slot];
-    const std::uint32_t re = plan.req_offsets[slot + 1];
-    for (std::uint32_t r = rb; r < re; ++r) {
-      const std::uint32_t packed = plan.reqs[r];
-      const std::uint32_t p = packed >> 1;
-      if (state.epoch_mark[p] != state.epoch) {
-        state.epoch_mark[p] = state.epoch;
-        NextTernaryWords(rng, plan.cut_lo[p], plan.cut_hi[p],
-                         &state.lo_mask[p], &state.hi_mask[p]);
-        *pair_draws += 64;
-      }
-      acc &= (packed & 1) != 0 ? state.hi_mask[p] : state.lo_mask[p];
-      if (acc == 0) break;
-    }
-    dominated |= acc;
-    if ((dominated & valid) == valid) break;
   }
   return ~dominated & valid;
 }

@@ -1,8 +1,8 @@
 #include "src/core/sam_internal.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <limits>
-#include <unordered_map>
 #include <utility>
 
 #include "src/core/dominance.h"
@@ -50,6 +50,49 @@ Status ResolveSampling(const MonteCarloOptions& options,
   }
   return Status::OK();
 }
+
+/// Interns value-pair keys as dense ids 0, 1, 2, ... in first-seen
+/// order. Open addressing with linear probing over 4-byte id slots, each
+/// key stored once in id order: about 32 bytes per key at the highest
+/// load, where a node-based map spends about 60 — and the interning
+/// table is the larger part of a plan build's heap peak.
+class PairInterner {
+ public:
+  /// The id of \p key, assigning the next one (and setting \p inserted)
+  /// when the key is new.
+  std::uint32_t Intern(const ValuePairKey& key, bool& inserted) {
+    if (2 * (keys_.size() + 1) > slots_.size()) Rehash(2 * slots_.size());
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t s = PairHash{}(key) & mask;; s = (s + 1) & mask) {
+      if (slots_[s] == kEmpty) {
+        slots_[s] = static_cast<std::uint32_t>(keys_.size());
+        keys_.push_back(key);
+        inserted = true;
+        return slots_[s];
+      }
+      if (keys_[slots_[s]] == key) {
+        inserted = false;
+        return slots_[s];
+      }
+    }
+  }
+
+ private:
+  static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+
+  void Rehash(std::size_t size) {
+    slots_.assign(std::max<std::size_t>(size, 64), kEmpty);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::uint32_t id = 0; id < keys_.size(); ++id) {
+      std::size_t s = PairHash{}(keys_[id]) & mask;
+      while (slots_[s] != kEmpty) s = (s + 1) & mask;
+      slots_[s] = id;
+    }
+  }
+
+  std::vector<ValuePairKey> keys_;
+  std::vector<std::uint32_t> slots_;
+};
 
 }  // namespace
 
@@ -105,25 +148,27 @@ BatchPlan BuildBatchPlan(const Dataset& data, const PreferenceModel& model,
   const std::size_t n = data.size();
   const DimensionId d = static_cast<DimensionId>(data.dimensions());
   BatchPlan plan;
-  std::unordered_map<ValuePairKey, std::uint32_t, PairHash> pair_index;
+  PairInterner pair_index;
+  // Pass 1 decides each target's possible dominators and their order,
+  // interning variables as it meets them; pass 2 writes their
+  // requirements. Splitting the two lets `reqs` be allocated once at its
+  // exact size — its doubling growth would otherwise set the build's
+  // heap peak — and pass 2 needs no model lookups, because pass 1 leaves
+  // each slot's candidate id where pass 2 writes the slot's end offset.
+  struct Slot {
+    double dominance;
+    ObjectId candidate;
+  };
+  std::vector<Slot> slots;
+  std::size_t total_reqs = 0;
   plan.target_begin.reserve(n + 1);
   plan.target_begin.push_back(0);
   plan.req_offsets.push_back(0);
-  // One target's possible dominators, before the dominance sort: each
-  // slot's requirements live in `scratch`.
-  struct Slot {
-    double dominance;
-    std::uint32_t begin;
-    std::uint32_t end;
-  };
-  std::vector<Slot> slots;
-  std::vector<std::uint32_t> scratch;
   for (ObjectId t = 0; t < n; ++t) {
     slots.clear();
-    scratch.clear();
     auto add = [&](ObjectId c) {
-      const auto begin = static_cast<std::uint32_t>(scratch.size());
       double dominance = 1.0;
+      std::size_t reqs = 0;
       for (DimensionId j = 0; j < d; ++j) {
         ValueId vc = data.value(c, j);
         ValueId vt = data.value(t, j);
@@ -136,27 +181,26 @@ BatchPlan BuildBatchPlan(const Dataset& data, const PreferenceModel& model,
         // drawn, so the candidate is pruned from the sampling plan.
         if (toward_candidate == 0.0) {  // skypref-lint: allow(float-eq)
           ++plan.pruned_candidates;
-          scratch.resize(begin);
           return;
         }
         dominance *= toward_candidate;
-        auto [it, inserted] = pair_index.try_emplace(
-            MakeValuePairKey(j, lo, hi),
-            static_cast<std::uint32_t>(plan.prefs.size()));
+        bool inserted = false;
+        pair_index.Intern(MakeValuePairKey(j, lo, hi), inserted);
         if (inserted) {
           SKYPREF_DCHECK_PROB(pair.less);
           SKYPREF_DCHECK_PROB(pair.less + pair.greater);
-          plan.prefs.push_back(pair);
           plan.cut_lo.push_back(BernoulliThreshold(pair.less));
           plan.cut_hi.push_back(BernoulliThreshold(
               std::min(pair.less + pair.greater, 1.0)));
         }
-        scratch.push_back((it->second << 1) | (vc == hi ? 1u : 0u));
+        ++reqs;
       }
       // A candidate with no differing dimension would duplicate the
       // target; Dataset::Validate guarantees that cannot happen.
-      const auto end = static_cast<std::uint32_t>(scratch.size());
-      if (end > begin) slots.push_back(Slot{dominance, begin, end});
+      if (reqs > 0) {
+        slots.push_back(Slot{dominance, c});
+        total_reqs += reqs;
+      }
     };
     if (groups.empty()) {
       for (ObjectId c = 0; c < n; ++c) {
@@ -173,12 +217,32 @@ BatchPlan BuildBatchPlan(const Dataset& data, const PreferenceModel& model,
                        return a.dominance > b.dominance;
                      });
     for (const Slot& slot : slots) {
-      plan.reqs.insert(plan.reqs.end(), scratch.begin() + slot.begin,
-                       scratch.begin() + slot.end);
-      plan.req_offsets.push_back(static_cast<std::uint32_t>(plan.reqs.size()));
+      plan.req_offsets.push_back(static_cast<std::uint32_t>(slot.candidate));
     }
     plan.target_begin.push_back(
         static_cast<std::uint32_t>(plan.req_offsets.size() - 1));
+  }
+
+  // Pass 2: every variable is interned already.
+  plan.reqs.reserve(total_reqs);
+  for (ObjectId t = 0; t < n; ++t) {
+    for (std::uint32_t slot = plan.target_begin[t];
+         slot < plan.target_begin[t + 1]; ++slot) {
+      const ObjectId c = plan.req_offsets[slot + 1];
+      for (DimensionId j = 0; j < d; ++j) {
+        ValueId vc = data.value(c, j);
+        ValueId vt = data.value(t, j);
+        if (vc == vt) continue;
+        ValueId lo = std::min(vc, vt);
+        ValueId hi = std::max(vc, vt);
+        bool inserted = false;
+        const std::uint32_t id =
+            pair_index.Intern(MakeValuePairKey(j, lo, hi), inserted);
+        SKYPREF_DCHECK(!inserted);
+        plan.reqs.push_back((id << 1) | (vc == hi ? 1u : 0u));
+      }
+      plan.req_offsets[slot + 1] = static_cast<std::uint32_t>(plan.reqs.size());
+    }
   }
   return plan;
 }

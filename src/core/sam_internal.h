@@ -7,9 +7,9 @@
 /// shared-world estimators of all_worlds.cc): the one request front end
 /// every engine starts from, the scalar single-target world walk over
 /// internal::BuildFlatInstance's instance, the interned ternary batch
-/// plan with its scalar requirement walk, and the block-deterministic
-/// runner and block-prefix reductions that give the pooled engines the
-/// same seeding/truncation contract.
+/// plan with its scalar requirement walk and its 64-world mask walk, and
+/// the block-deterministic runner and block-prefix reductions that give
+/// the pooled engines the same seeding/truncation contract.
 ///
 /// Everything here is an implementation detail exposed only so the
 /// engine translation units (and their tests) can share one copy of the
@@ -160,15 +160,13 @@ bool SampleWorld(const FlatInstance<Oracle>& inst, WorldMemo& memo, Rng& rng,
 /// The whole batch flattened: a global table of ternary orientation
 /// variables plus a two-level CSR — per target a slice of candidate
 /// slots, per slot a slice of packed requirements (pair_index << 1 |
-/// want_hi). Each variable keeps its model pair (the shared-world
-/// estimators draw on the doubles) and two integer cuts (batch Sam: a
-/// draw below cut_lo means lo preferred, else below cut_hi means hi
-/// preferred, else incomparable). Candidates are in descending
-/// dominance-probability order per target.
+/// want_hi). Each variable is two integer cuts: a draw below cut_lo
+/// means lo preferred, else below cut_hi means hi preferred, else
+/// incomparable. Candidates are in descending dominance-probability
+/// order per target.
 struct BatchPlan {
-  std::vector<PrefPair> prefs;  // (Pr(lo < hi), Pr(hi < lo))
-  std::vector<std::uint64_t> cut_lo;
-  std::vector<std::uint64_t> cut_hi;
+  std::vector<std::uint64_t> cut_lo;  // cut of Pr(lo < hi)
+  std::vector<std::uint64_t> cut_hi;  // cut of Pr(lo < hi) + Pr(hi < lo)
   std::vector<std::uint32_t> reqs;
   std::vector<std::uint32_t> req_offsets;   // per candidate slot, slots+1
   std::vector<std::uint32_t> target_begin;  // per target, n+1, slot indices
@@ -176,7 +174,7 @@ struct BatchPlan {
   /// probability exactly zero.
   std::size_t pruned_candidates = 0;
 
-  std::size_t pair_count() const { return prefs.size(); }
+  std::size_t pair_count() const { return cut_lo.size(); }
 };
 
 /// Phase B of batch Sam: interns the ternary variables of every target's
@@ -197,22 +195,13 @@ enum class Orientation : std::uint8_t {
   kIncomparable = 2,
 };
 
-/// Batch Sam's draw: one 64-bit draw against the variable's two cuts.
+/// Scalar batch Sam's draw: one 64-bit draw against the variable's two
+/// cuts.
 inline Orientation DrawCut(const BatchPlan& plan, std::uint32_t p, Rng& rng) {
   const std::uint64_t u = rng.NextUint64();
   if (ThresholdHit(u, plan.cut_lo[p])) return Orientation::kLoPreferred;
   return ThresholdHit(u, plan.cut_hi[p]) ? Orientation::kHiPreferred
                                          : Orientation::kIncomparable;
-}
-
-/// The shared-world estimators' draw: one NextDouble against the model's
-/// doubles.
-inline Orientation DrawPref(const BatchPlan& plan, std::uint32_t p, Rng& rng) {
-  const double u = rng.NextDouble();
-  const PrefPair& pair = plan.prefs[p];
-  if (u < pair.less) return Orientation::kLoPreferred;
-  return u < pair.less + pair.greater ? Orientation::kHiPreferred
-                                      : Orientation::kIncomparable;
 }
 
 /// Orientations memoized per world with epoch stamps; one world is shared
@@ -227,12 +216,12 @@ struct BatchMemo {
 };
 
 /// True iff \p target survives the memo's current world. Orientations
-/// are drawn lazily through Draw and memoized, so every target of the
+/// are drawn lazily through DrawCut and memoized, so every target of the
 /// world sees the same sampled preference — the consistency that makes
 /// shared worlds valid (all_worlds.h).
-template <Orientation (*Draw)(const BatchPlan&, std::uint32_t, Rng&)>
-bool BatchSurvives(const BatchPlan& plan, BatchMemo& memo, ObjectId target,
-                   Rng& rng, std::uint64_t* pair_draws) {
+inline bool BatchSurvives(const BatchPlan& plan, BatchMemo& memo,
+                          ObjectId target, Rng& rng,
+                          std::uint64_t* pair_draws) {
   const std::uint32_t* reqs = plan.reqs.data();
   const std::uint32_t* offsets = plan.req_offsets.data();
   const std::uint32_t* slots_end = offsets + plan.target_begin[target + 1];
@@ -243,7 +232,7 @@ bool BatchSurvives(const BatchPlan& plan, BatchMemo& memo, ObjectId target,
       const std::uint32_t p = *r >> 1;
       if (memo.epoch_mark[p] != memo.epoch) {
         memo.epoch_mark[p] = memo.epoch;
-        memo.outcome[p] = Draw(plan, p, rng);
+        memo.outcome[p] = DrawCut(plan, p, rng);
         ++*pair_draws;
       }
       if (memo.outcome[p] != static_cast<Orientation>(*r & 1)) {
@@ -254,6 +243,62 @@ bool BatchSurvives(const BatchPlan& plan, BatchMemo& memo, ObjectId target,
     if (dominates) return false;
   }
   return true;
+}
+
+/// Lanes [0, step) of a possibly-partial trailing 64-world chunk.
+inline std::uint64_t ValidLanes(std::uint64_t step) {
+  return step >= 64 ? ~0ULL : ((1ULL << step) - 1);
+}
+
+/// Mask memo of the 64-world walk: per distinct ternary pair, TWO
+/// mutually exclusive masks per chunk (lo-beats-hi, hi-beats-lo) drawn
+/// jointly by NextTernaryWords and shared by every target. Bumping
+/// `epoch` starts a new chunk: every pair's masks go stale without
+/// clearing.
+struct BatchSliceState {
+  explicit BatchSliceState(std::size_t pairs)
+      : epoch_mark(pairs, 0), lo_mask(pairs), hi_mask(pairs) {}
+
+  std::vector<std::uint64_t> epoch_mark;
+  std::vector<std::uint64_t> lo_mask;
+  std::vector<std::uint64_t> hi_mask;
+  std::uint64_t epoch = 0;
+};
+
+/// Worlds of the current chunk in which \p target survives, restricted
+/// to \p valid: bit k is world k of the chunk. Orientation masks are
+/// drawn lazily on first touch and memoized for the rest of the chunk,
+/// so all targets see the same 64 sampled worlds. A candidate is
+/// abandoned once its accumulated AND dies, and the target once every
+/// valid lane is dominated — so \p valid decides which masks get drawn.
+inline std::uint64_t BatchChunkSurvivors(const BatchPlan& plan,
+                                         BatchSliceState& state,
+                                         ObjectId target, Rng& rng,
+                                         std::uint64_t valid,
+                                         std::uint64_t* pair_draws) {
+  std::uint64_t dominated = 0;
+  const std::uint32_t begin = plan.target_begin[target];
+  const std::uint32_t end = plan.target_begin[target + 1];
+  for (std::uint32_t slot = begin; slot < end; ++slot) {
+    std::uint64_t acc = ~0ULL;
+    const std::uint32_t rb = plan.req_offsets[slot];
+    const std::uint32_t re = plan.req_offsets[slot + 1];
+    for (std::uint32_t r = rb; r < re; ++r) {
+      const std::uint32_t packed = plan.reqs[r];
+      const std::uint32_t p = packed >> 1;
+      if (state.epoch_mark[p] != state.epoch) {
+        state.epoch_mark[p] = state.epoch;
+        NextTernaryWords(rng, plan.cut_lo[p], plan.cut_hi[p],
+                         &state.lo_mask[p], &state.hi_mask[p]);
+        *pair_draws += 64;
+      }
+      acc &= (packed & 1) != 0 ? state.hi_mask[p] : state.lo_mask[p];
+      if (acc == 0) break;
+    }
+    dominated |= acc;
+    if ((dominated & valid) == valid) break;
+  }
+  return ~dominated & valid;
 }
 
 /// A validated and planned batch Sam query, ready for its world loop.

@@ -95,8 +95,7 @@ Result<std::vector<double>> BatchMonteCarloSkylineProbabilities(
           (void)step;  // chunk = 1: exactly one world per call
           ++memo.epoch;
           for (ObjectId t = 0; t < n; ++t) {
-            if (internal::BatchSurvives<internal::DrawCut>(plan, memo, t, rng,
-                                                           draws)) {
+            if (internal::BatchSurvives(plan, memo, t, rng, draws)) {
               ++counts[t];
             }
           }

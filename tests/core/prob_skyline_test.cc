@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/core/exact.h"
 #include "test_util.h"
 
@@ -75,6 +77,11 @@ TEST(ProbSkylineTest, RejectsBadArguments) {
   EXPECT_EQ(ExactProbabilisticSkyline(data, model, 0.0).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(ExactProbabilisticSkyline(data, model, 1.5).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ExactProbabilisticSkyline(data, model,
+                                      std::numeric_limits<double>::quiet_NaN())
+                .status()
+                .code(),
             StatusCode::kInvalidArgument);
   Dataset empty(1);
   EXPECT_EQ(ExactProbabilisticSkyline(empty, model, 0.5).status().code(),

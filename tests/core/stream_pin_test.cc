@@ -27,32 +27,15 @@
 #include "src/core/solver.h"
 #include "src/core/tentative_approx.h"
 #include "src/core/topk_race.h"
-#include "src/model/preference_generator.h"
 #include "test_util.h"
 
 namespace skypref {
 namespace {
 
-using skypref::testing::RandomSmallDataset;
+using skypref::testing::StreamPinDataset;
+using skypref::testing::StreamPinModel;
 
 constexpr ObjectId kTarget = 0;
-
-Dataset PinDataset() { return RandomSmallDataset(20261017, 14, 3, 4); }
-
-// Simplex preferences give every pair incomparability mass (the ternary
-// draws matter); two orientations forced to exactly zero exercise the
-// impossible-candidate pruning of the batch plan and the bit-sliced
-// engine.
-TablePreferenceModel PinModel(const Dataset& data) {
-  TablePreferenceModel model;
-  PreferenceGenOptions gen;
-  gen.style = PreferenceGenOptions::Style::kSimplexUniform;
-  gen.seed = 91;
-  GeneratePreferences(data, gen, &model).CheckOK();
-  model.Set(0, 0, 1, 0.0, 0.6).CheckOK();
-  model.Set(1, 2, 3, 0.7, 0.0).CheckOK();
-  return model;
-}
 
 std::string Hex(double value) {
   char buffer[64];
@@ -72,8 +55,8 @@ std::vector<std::uint64_t> Hits(const std::vector<double>& estimates,
 }
 
 TEST(StreamPinTest, SingleTargetSamEngines) {
-  const Dataset data = PinDataset();
-  const TablePreferenceModel model = PinModel(data);
+  const Dataset data = StreamPinDataset();
+  const TablePreferenceModel model = StreamPinModel(data);
   const std::vector<ObjectId> candidates =
       AllObjectsExcept(data.size(), kTarget);
   ThreadPool pool(2);
@@ -115,8 +98,8 @@ TEST(StreamPinTest, SingleTargetSamEngines) {
 }
 
 TEST(StreamPinTest, ExactVariableTables) {
-  const Dataset data = PinDataset();
-  const TablePreferenceModel model = PinModel(data);
+  const Dataset data = StreamPinDataset();
+  const TablePreferenceModel model = StreamPinModel(data);
   const std::vector<ObjectId> candidates =
       AllObjectsExcept(data.size(), kTarget);
 
@@ -160,8 +143,8 @@ TEST(StreamPinTest, ExactVariableTables) {
 }
 
 TEST(StreamPinTest, BatchSamEngines) {
-  const Dataset data = PinDataset();
-  const TablePreferenceModel model = PinModel(data);
+  const Dataset data = StreamPinDataset();
+  const TablePreferenceModel model = StreamPinModel(data);
   ThreadPool pool(2);
   using Engine = MonteCarloOptions::Engine;
   struct Case {
@@ -211,8 +194,8 @@ TEST(StreamPinTest, BatchSamEngines) {
 }
 
 TEST(StreamPinTest, SharedWorldEstimators) {
-  const Dataset data = PinDataset();
-  const TablePreferenceModel model = PinModel(data);
+  const Dataset data = StreamPinDataset();
+  const TablePreferenceModel model = StreamPinModel(data);
 
   AllWorldsOptions all_options;
   all_options.samples = 2000;
@@ -220,9 +203,9 @@ TEST(StreamPinTest, SharedWorldEstimators) {
   auto all = EstimateAllSkylineProbabilities(data, model, all_options);
   ASSERT_TRUE(all.ok()) << all.status();
   EXPECT_EQ(Hits(all->estimates, all->samples),
-            (std::vector<std::uint64_t>{605, 775, 1062, 244, 1137, 964, 1900,
-                                        247, 476, 747, 703, 577, 1398, 145}));
-  EXPECT_EQ(all->pair_draws, 32744u);
+            (std::vector<std::uint64_t>{626, 780, 1037, 254, 1175, 951, 1925,
+                                        273, 448, 710, 688, 582, 1412, 170}));
+  EXPECT_EQ(all->pair_draws, 36864u);
 
   TopKRaceOptions race_options;
   race_options.seed = 11;
@@ -233,16 +216,16 @@ TEST(StreamPinTest, SharedWorldEstimators) {
   auto race = TopKSkylineRace(data, model, 3, race_options);
   ASSERT_TRUE(race.ok()) << race.status();
   EXPECT_EQ(race->topk, (std::vector<ObjectId>{6, 12, 4}));
-  EXPECT_EQ(race->worlds, 1664u);
-  EXPECT_EQ(race->evaluations, 7872u);
+  EXPECT_EQ(race->worlds, 3968u);
+  EXPECT_EQ(race->evaluations, 13440u);
   EXPECT_TRUE(race->resolved);
 }
 
 // Without preprocessing, the shared-world sampler and batch Sam intern
 // the same ternary variables and keep the same possible dominators.
 TEST(StreamPinTest, SharedWorldSamplerMatchesUnpreprocessedBatchPlan) {
-  const Dataset data = PinDataset();
-  const TablePreferenceModel model = PinModel(data);
+  const Dataset data = StreamPinDataset();
+  const TablePreferenceModel model = StreamPinModel(data);
   const std::size_t n = data.size();
   SharedWorldSampler sampler(data, model);
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/model/dataset.h"
+#include "src/model/preference_generator.h"
 #include "src/model/preference_model.h"
 #include "src/util/check.h"
 #include "src/util/random.h"
@@ -86,6 +87,27 @@ inline Dataset RandomSmallDataset(std::uint64_t seed, std::size_t objects,
     data.Append(row).CheckOK();
   }
   return data;
+}
+
+/// The fixed seeded instance of stream_pin_test, on which every random
+/// stream is pinned.
+inline Dataset StreamPinDataset() {
+  return RandomSmallDataset(20261017, 14, 3, 4);
+}
+
+/// Simplex preferences give every pair incomparability mass (the ternary
+/// draws matter); two orientations forced to exactly zero exercise the
+/// impossible-candidate pruning of the batch plan and the bit-sliced
+/// engine.
+inline TablePreferenceModel StreamPinModel(const Dataset& data) {
+  TablePreferenceModel model;
+  PreferenceGenOptions gen;
+  gen.style = PreferenceGenOptions::Style::kSimplexUniform;
+  gen.seed = 91;
+  GeneratePreferences(data, gen, &model).CheckOK();
+  model.Set(0, 0, 1, 0.0, 0.6).CheckOK();
+  model.Set(1, 2, 3, 0.7, 0.0).CheckOK();
+  return model;
 }
 
 }  // namespace skypref::testing

@@ -188,6 +188,25 @@ unsigned long Run(Sampler& s, unsigned long n) {
         self.write("src/core/monte_carlo.cc", self.FIRING)
         self.assertIn("cancel-poll", self.checks("src/core/monte_carlo.cc"))
 
+    def test_unpolled_chunk_loop_fires(self):
+        # The shared-world estimator's 64-world chunk loop is per-world
+        # work too.
+        self.write("src/core/all_worlds.cc", """\
+struct Sampler {
+  void NextChunk();
+  unsigned long ChunkSurvivors(unsigned long i);
+};
+unsigned long Run(Sampler& s, unsigned long n, unsigned long chunks) {
+  unsigned long words = 0;
+  for (unsigned long c = 0; c < chunks; ++c) {
+    s.NextChunk();
+    for (unsigned long i = 0; i < n; ++i) words |= s.ChunkSurvivors(i);
+  }
+  return words;
+}
+""")
+        self.assertIn("cancel-poll", self.checks("src/core/all_worlds.cc"))
+
     def test_direct_poll_is_clean(self):
         self.write("src/core/monte_carlo.cc", """\
 struct Sampler { bool SampleWorld(); };

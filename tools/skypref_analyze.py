@@ -89,7 +89,7 @@ ENGINE_FILES = {
 WORK_MARKERS = {
     "SampleWorld", "SampleFlatWorld", "NextWorld", "Survives",
     "BatchSurvives", "TaskDfs", "Dfs", "SampleChunk",
-    "BatchChunkSurvivors",
+    "BatchChunkSurvivors", "NextChunk", "ChunkSurvivors",
 }
 
 # Direct cancellation polls. `cancelled` is CancelToken::cancelled(),
