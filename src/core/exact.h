@@ -17,21 +17,16 @@
 /// adding/removing one object from the running subset touches at most d
 /// per-dimension value counters.
 ///
-/// Two engines implement the same walk:
-///
-///  * FlatExactEngine (default) — the solve is preceded by flattening the
-///    instance into a FlatInstance: the distinct (dim, value) factors
-///    become a dense pair-id table with their Pr(v <= O.j) probabilities
-///    precomputed, and each candidate carries a compact index list of the
-///    pairs where it differs from the target (CSR layout). The DFS inner
-///    loop is then pure array arithmetic — no model hash lookups, no
-///    `q[j] == o[j]` branch, and multiplicity counters indexed by dense
-///    pair id instead of per-dimension value-id vectors sized to the max
-///    ValueId. Multiplication and accumulation order are IDENTICAL to the
-///    lookup engine, so results are bit-identical.
-///  * LookupExactEngine — the original direct-from-model walk, kept as
-///    the in-tree reference for tests and the bench_hotpath ablation
-///    (select with ExactOptions::engine = ExactOptions::Engine::kLookup).
+/// The walk runs over a flattened instance (FlatInstance, built by
+/// BuildFlatInstance): the distinct (dim, value) factors become a dense
+/// pair-id table with their Pr(v <= O.j) probabilities precomputed, and
+/// each candidate carries a compact index list of the pairs where it
+/// differs from the target (CSR layout). The DFS inner loop
+/// (FlatExactEngine) is then pure array arithmetic — no model hash
+/// lookups, no `q[j] == o[j]` branch, and multiplicity counters indexed
+/// by dense pair id. Possible-world enumeration
+/// (BruteForceSkylineProbability, brute_force.h) is the independent
+/// referee it is checked against, exactly, in rational arithmetic.
 ///
 /// Additional engineering on top of the paper:
 ///  * zero subtrees are pruned — once Pr(E_I) = 0, every superset of I
@@ -50,9 +45,8 @@
 ///  * a deterministic failpoint in the visit-charging path ("exact.dfs",
 ///    src/util/failpoint.h, compiled out unless SKYPREF_FAILPOINTS) so
 ///    tests can force the ResourceExhausted degradation path on the N-th
-///    visit of either engine.
+///    visit.
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <optional>
@@ -98,13 +92,6 @@ struct ExactOptions {
 
   /// Skip subtrees whose joint probability is exactly zero.
   bool prune_zero = true;
-
-  /// Which DFS engine runs the walk; results are bit-identical.
-  enum class Engine : std::uint8_t {
-    kFlat,    ///< flattened pair-table hot path (default)
-    kLookup,  ///< original per-dimension model-lookup walk (reference)
-  };
-  Engine engine = Engine::kFlat;
 };
 
 /// Statistics of one exact computation, for benches and tests.
@@ -137,9 +124,12 @@ Result<double> ExactSkylineProbability(const Dataset& data, ObjectId target,
 
 namespace internal {
 
-/// Resolves the effective deadline of one solve: an explicit shared
-/// deadline wins, otherwise time_limit_seconds counts from now.
-inline Deadline ResolveDeadline(const ExactOptions& options) {
+/// Resolves the effective deadline of one solve or query from its
+/// ExactOptions or MonteCarloOptions: an explicit shared deadline wins,
+/// otherwise time_limit_seconds counts from now. With neither set the
+/// deadline stays unset and no clock is read.
+template <typename Options>
+Deadline ResolveDeadline(const Options& options) {
   if (options.deadline.has_value()) return options.deadline;
   return Deadline::After(options.time_limit_seconds);
 }
@@ -158,15 +148,12 @@ inline Status TimeLimitExhausted() {
 ///
 /// The distinct (dim, value) factors of Eq. 6 — the values where some
 /// candidate differs from the target — are assigned dense pair ids in
-/// first-encounter order (candidate-major, dimension-minor, exactly the
-/// order the lookup engine discovers them). `pair_prob[p]` caches
-/// Pr(v <= O.j) for pair p; candidate i owns the id slice
-/// `pair_ids[offsets[i] .. offsets[i+1])`, listing its differing
+/// first-encounter order (candidate-major, dimension-minor).
+/// `pair_prob[p]` caches Pr(v <= O.j) for pair p; candidate i owns the id
+/// slice `pair_ids[offsets[i] .. offsets[i+1])`, listing its differing
 /// dimensions in ascending dimension order. Because two candidates
 /// sharing a (dim, value) map to the SAME pair id, a multiplicity counter
-/// per pair id reproduces the "distinct values count once" semantics of
-/// the per-dimension counters, and the per-candidate id order reproduces
-/// the lookup engine's multiplication order bit for bit.
+/// per pair id gives Eq. 4's "distinct values count once" semantics.
 template <typename Oracle>
 struct FlatInstance {
   using Num = typename Oracle::NumType;
@@ -326,10 +313,10 @@ class FlatExactEngine {
     ++visited_;
     // The failpoint consults on the solve's first visit plus the same
     // amortized cadence as the deadline poll below — a per-visit consult
-    // would put an atomic RMW in the DFS hot loop and blow the
-    // armed-but-quiet overhead budget (bench_hotpath chaos_armed_quiet).
-    // Hit ordinals therefore count (solve entries + poll crossings), and
-    // a kSingle n=1 arming still fails the first armed solve.
+    // would put an atomic RMW in the DFS hot loop of every
+    // failpoints-enabled build. Hit ordinals therefore count (solve
+    // entries + poll crossings), and a kSingle n=1 arming still fails
+    // the first armed solve.
     if ((visited_ == 1 || (visited_ & 0xfff) == 0) &&
         SKYPREF_FAILPOINT("exact.dfs")) {
       status_ = Status::ResourceExhausted("failpoint exact.dfs");
@@ -357,119 +344,6 @@ class FlatExactEngine {
   Deadline deadline_;
 
   std::vector<std::uint32_t> counts_;  // pair id -> multiplicity in I
-  Accumulator<Num> accumulator_;
-  std::uint64_t visited_ = 0;
-  Status status_;
-};
-
-/// The original engine: per-dimension value-id counters and on-the-fly
-/// oracle lookups. Kept as the bit-exact reference the flattened path is
-/// verified against (tests) and measured against (bench_hotpath).
-template <typename Oracle>
-class LookupExactEngine {
- public:
-  using Num = typename Oracle::NumType;
-
-  LookupExactEngine(const Dataset& data, ObjectId target,
-                    std::span<const ObjectId> candidates, const Oracle& oracle,
-                    const ExactOptions& options)
-      : data_(data),
-        target_(target),
-        candidates_(candidates),
-        oracle_(oracle),
-        options_(options),
-        deadline_(ResolveDeadline(options)) {
-    // Per-dimension counters sized to the largest value id we will see.
-    counts_.resize(data.dimensions());
-    for (DimensionId j = 0; j < data.dimensions(); ++j) {
-      ValueId bound = data.value(target, j) + 1;
-      for (ObjectId id : candidates) {
-        bound = std::max(bound, static_cast<ValueId>(data.value(id, j) + 1));
-      }
-      counts_[j].assign(bound, 0);
-    }
-  }
-
-  Result<Num> Run(ExactStats* stats) {
-    if (stats != nullptr) stats->subsets_visited = 0;
-    // Solve-boundary cancel check: a token cancelled before the solve
-    // starts is observed regardless of instance size (the in-loop poll
-    // runs only every 4096 visits).
-    if (options_.cancel != nullptr && options_.cancel->cancelled()) {
-      status_ = CancelledStatus();
-      return status_;
-    }
-    status_ = Status::OK();
-    accumulator_ = Accumulator<Num>();
-    accumulator_.Add(Num(1));  // the k = 0 term of Eq. 4
-    visited_ = 0;
-    Dfs(0, Num(1), /*positive_sign=*/false);
-    if (stats != nullptr) stats->subsets_visited = visited_;
-    if (!status_.ok()) return status_;
-    return accumulator_.Value();
-  }
-
- private:
-  void Dfs(std::size_t next, const Num& product, bool positive_sign) {
-    for (std::size_t i = next; i < candidates_.size() && status_.ok(); ++i) {
-      if (!ChargeVisit()) return;
-      Num extended = product;
-      std::span<const ValueId> q = data_.object(candidates_[i]);
-      std::span<const ValueId> o = data_.object(target_);
-      for (DimensionId j = 0; j < data_.dimensions(); ++j) {
-        if (q[j] == o[j]) continue;
-        if (counts_[j][q[j]]++ == 0) {
-          extended = extended * oracle_.LessEq(j, q[j], o[j]);
-        }
-      }
-      accumulator_.Add(positive_sign ? extended : -extended);
-      if (!options_.prune_zero || !(extended == Num(0))) {
-        Dfs(i + 1, extended, !positive_sign);
-      }
-      for (DimensionId j = 0; j < data_.dimensions(); ++j) {
-        if (q[j] != o[j]) --counts_[j][q[j]];
-      }
-    }
-  }
-
-  bool ChargeVisit() {
-    ++visited_;
-    // The failpoint consults on the solve's first visit plus the same
-    // amortized cadence as the deadline poll below — a per-visit consult
-    // would put an atomic RMW in the DFS hot loop and blow the
-    // armed-but-quiet overhead budget (bench_hotpath chaos_armed_quiet).
-    // Hit ordinals therefore count (solve entries + poll crossings), and
-    // a kSingle n=1 arming still fails the first armed solve.
-    if ((visited_ == 1 || (visited_ & 0xfff) == 0) &&
-        SKYPREF_FAILPOINT("exact.dfs")) {
-      status_ = Status::ResourceExhausted("failpoint exact.dfs");
-      return false;
-    }
-    if (options_.max_subsets != 0 && visited_ > options_.max_subsets) {
-      status_ = SubsetBudgetExhausted(options_.max_subsets);
-      return false;
-    }
-    if ((visited_ & 0xfff) == 0) {
-      if (options_.cancel != nullptr && options_.cancel->cancelled()) {
-        status_ = CancelledStatus();
-        return false;
-      }
-      if (deadline_.Expired()) {
-        status_ = TimeLimitExhausted();
-        return false;
-      }
-    }
-    return true;
-  }
-
-  const Dataset& data_;
-  ObjectId target_;
-  std::span<const ObjectId> candidates_;
-  const Oracle& oracle_;
-  ExactOptions options_;
-  Deadline deadline_;
-
-  std::vector<std::vector<std::uint32_t>> counts_;  // per dim: value -> count
   Accumulator<Num> accumulator_;
   std::uint64_t visited_ = 0;
   Status status_;
@@ -506,11 +380,6 @@ Result<typename Oracle::NumType> ExactSkylineProbability(
   Status valid = internal::ValidateExactInputs(data, target, candidates,
                                                oracle);
   if (!valid.ok()) return valid;
-  if (options.engine == ExactOptions::Engine::kLookup) {
-    internal::LookupExactEngine<Oracle> engine(data, target, candidates,
-                                               oracle, options);
-    return engine.Run(stats);
-  }
   // The flattened instance is the solve's one big allocation; through
   // TryAlloc its failure is ResourceExhausted, which degrades through
   // the resilient ladder like a blown budget instead of terminating.

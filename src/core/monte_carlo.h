@@ -24,8 +24,7 @@
 /// its achieved sample count — an estimate with a wider Hoeffding bar,
 /// never a lost query — and a CancelToken aborts with Status::Cancelled.
 ///
-/// Three engines implement the estimator (MonteCarloOptions::Engine,
-/// mirroring ExactOptions::Engine):
+/// Three engines implement the estimator (MonteCarloOptions::Engine):
 ///
 ///  * kSerial — this file's single-stream loop, the paper's literal
 ///    Algorithm 2;
@@ -35,13 +34,15 @@
 ///    through a flattened integer-threshold sampler, and blocks reduce
 ///    in index order, so the estimate is bit-identical for every thread
 ///    count (including under deadline truncation, which drops a
-///    deterministic block suffix). The batch estimator
-///    BatchMonteCarloSkylineProbabilities (also sam_parallel.h) shares
-///    each sampled world across ALL targets of an all-objects query;
+///    deterministic block suffix);
 ///  * kBitSliced — the word-parallel engine of src/core/sam_bitslice.h:
 ///    64 worlds evaluated at once per 64-bit mask word, same block
 ///    contract as kBlock (its own stream, so estimates differ from
 ///    kBlock's but are equally deterministic).
+///
+/// The all-objects estimator BatchMonteCarloSkylineProbabilities
+/// (sam_parallel.h) is not one of these engines: it always runs the
+/// bit-sliced walk, sharing each sampled world across ALL targets.
 
 #include <cstdint>
 #include <span>
@@ -61,8 +62,10 @@ struct MonteCarloOptions {
   /// Target failure probability (Theorem 2).
   double delta = 0.01;
   /// Explicit sample count; 0 derives the count from epsilon/delta via
-  /// Hoeffding. The paper's empirical studies use 3000 where the bound
-  /// would demand 26,492.
+  /// Hoeffding, which needs both finite. The paper's empirical studies
+  /// use 3000 where the bound would demand 26,492. A count saturated at
+  /// UINT64_MAX (epsilon around 1e-10 and below) runs only on kSerial
+  /// with a deadline or time limit; otherwise it is InvalidArgument.
   std::uint64_t samples = 0;
   /// PRNG seed; a fixed seed makes runs exactly reproducible.
   std::uint64_t seed = 0x5eed5eedULL;
@@ -97,8 +100,9 @@ struct MonteCarloOptions {
 
   /// Which engine draws the worlds. Estimates are NOT bit-identical
   /// between engines (each defines its own stream); each engine is
-  /// individually deterministic per seed, and kBlock is additionally
-  /// bit-identical for every thread count of the pool it runs on.
+  /// individually deterministic per seed, and the pooled ones are
+  /// additionally bit-identical for every thread count of their pool.
+  /// Batch Sam ignores it (always bit-sliced).
   enum class Engine : std::uint8_t {
     kSerial,    ///< single-stream loop in this file (Algorithm 2 verbatim)
     kBlock,     ///< block-deterministic parallel engine (sam_parallel.h)

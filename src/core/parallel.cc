@@ -66,8 +66,7 @@ Result<double> ParallelExactSkylineProbability(
       engines(group_count);
   std::vector<std::function<void()>> work;
   for (std::size_t g : LongestFirstOrder(groups)) {
-    const bool split = options.engine == ExactOptions::Engine::kFlat &&
-                       parallel.exact_tasks > 1 &&
+    const bool split = parallel.exact_tasks > 1 &&
                        groups[g].size() >= parallel.min_split_candidates;
     if (split) {
       auto built = TryAlloc("alloc.exact.flat_instance", [&] {

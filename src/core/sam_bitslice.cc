@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "src/core/dominance.h"
 #include "src/core/sam_internal.h"
@@ -14,7 +15,6 @@ namespace skypref {
 
 namespace {
 
-using internal::BatchPlan;
 using internal::FlatSamInstance;
 using internal::ValidLanes;
 
@@ -182,38 +182,69 @@ Result<MonteCarloResult> BitSlicedMonteCarloSkylineProbability(
 }
 
 // -------------------------------------------------------------------------
-// Batch engine
+// Batch Sam (sam_parallel.h layer 3; plan built by sam_internal.cc)
 // -------------------------------------------------------------------------
 
-namespace internal {
-
-Result<std::vector<double>> RunBitSlicedBatch(ThreadPool& pool,
-                                              BatchSamRun& run,
-                                              const MonteCarloOptions& mc,
-                                              BatchSamStats* stats) {
-  // Same up-front probe as the single-target engine: the per-block
-  // arenas themselves are built where no Status can surface.
-  const BatchPlan& plan = run.plan;
+Result<std::vector<double>> BatchMonteCarloSkylineProbabilities(
+    const Dataset& data, const PreferenceModel& model, ThreadPool& pool,
+    const SolverOptions& options, BatchSamStats* stats) {
+  SKYPREF_ASSIGN_OR_RETURN(
+      internal::BatchSamRun run,
+      internal::PrepareBatchSam(data, model, pool, options));
+  const internal::BatchPlan& plan = run.plan;
+  const MonteCarloOptions& mc = options.monte_carlo;
+  // The per-block mask-memo arenas are allocated inside worker dispatch,
+  // where no Status can surface; probe the allocation once up front so
+  // an injected (or organic) arena failure lands here deterministically.
   {
-    auto probe = TryAlloc("alloc.sam.slice_arena",
-                          [&] { return BatchSliceState(plan.pair_count()); });
+    auto probe = TryAlloc("alloc.sam.slice_arena", [&] {
+      return internal::BatchSliceState(plan.pair_count());
+    });
     SKYPREF_RETURN_IF_ERROR(probe.status());
   }
+
+  // Phase C: the shared world stream, 64 worlds per chunk, fanned out in
+  // deterministic blocks (same runner, same "sampler.block" failpoint,
+  // same truncation contract as the single-target engines). Each block
+  // owns its mask memo and its per-target counters; the reduce sums the
+  // counted block prefix in index order.
   const std::size_t n = run.stats.targets;
-  return RunBatchSamBlocks(
-      pool, run, mc, /*chunk=*/64, stats, [&](std::uint64_t* counts) {
-        return [&plan, counts, n, state = BatchSliceState(plan.pair_count())](
+  std::vector<std::vector<std::uint64_t>> survived(
+      internal::BlockCount(run.samples, mc.block_size),
+      std::vector<std::uint64_t>(n, 0));
+  std::vector<internal::BlockOutcome> outcomes;
+  SKYPREF_RETURN_IF_ERROR(internal::RunDeterministicBlocks(
+      pool, run.samples, mc.block_size, /*chunk=*/64, mc.seed, run.deadline,
+      mc.cancel, outcomes, [&](std::uint64_t b) {
+        return [&plan, counts = survived[b].data(), n,
+                state = internal::BatchSliceState(plan.pair_count())](
                    Rng& rng, std::uint64_t step, std::uint64_t* draws) mutable {
           ++state.epoch;
-          const std::uint64_t valid = ValidLanes(step);
+          const std::uint64_t valid = internal::ValidLanes(step);
           for (ObjectId t = 0; t < n; ++t) {
-            counts[t] += static_cast<std::uint64_t>(std::popcount(
-                BatchChunkSurvivors(plan, state, t, rng, valid, draws)));
+            counts[t] += static_cast<std::uint64_t>(
+                std::popcount(internal::BatchChunkSurvivors(plan, state, t, rng,
+                                                            valid, draws)));
           }
         };
-      });
-}
+      }));
 
-}  // namespace internal
+  const internal::BlockPrefix prefix = internal::CountedPrefix(outcomes);
+  run.stats.truncated = prefix.truncated;
+  for (std::uint64_t b = 0; b < prefix.end; ++b) {
+    run.stats.samples += outcomes[b].achieved;
+    run.stats.pair_draws += outcomes[b].draws;
+  }
+  std::vector<double> estimates(n, 0.0);
+  for (ObjectId t = 0; t < n; ++t) {
+    std::uint64_t hits = 0;
+    for (std::uint64_t b = 0; b < prefix.end; ++b) hits += survived[b][t];
+    estimates[t] =
+        static_cast<double>(hits) / static_cast<double>(run.stats.samples);
+    SKYPREF_DCHECK_PROB(estimates[t]);
+  }
+  if (stats != nullptr) *stats = run.stats;
+  return estimates;
+}
 
 }  // namespace skypref

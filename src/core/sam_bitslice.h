@@ -30,11 +30,12 @@
 /// sharing a value pair see the same sampled orientation in every
 /// world) and, in lazy mode, a pair's eight masks are generated only
 /// when a candidate whose accumulated AND is still alive first touches
-/// the pair during the superchunk. With engine == kBitSliced,
-/// BatchMonteCarloSkylineProbabilities (sam_parallel.h) keeps the scalar
-/// batch plan but draws each ternary pair as two mutually exclusive
-/// masks per chunk (NextTernaryWords), shared by every target.
-/// pair_draws counts 64 per mask GENERATED (512 per wide call, even
+/// the pair during the superchunk. Batch Sam
+/// (BatchMonteCarloSkylineProbabilities, sam_parallel.h) runs the same
+/// layout over its interned ternary plan: each variable is drawn as two
+/// mutually exclusive masks per chunk (NextTernaryWords), shared by
+/// every target. pair_draws counts 64 per mask GENERATED (512 per wide
+/// call, even
 /// for a trailing superchunk that uses fewer chunks): the number of
 /// world-pair outcomes materialized, comparable with the scalar
 /// engines' per-draw count.

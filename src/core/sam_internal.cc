@@ -1,6 +1,7 @@
 #include "src/core/sam_internal.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <limits>
 #include <utility>
@@ -20,6 +21,11 @@ namespace {
 Status ResolveSampling(const MonteCarloOptions& options,
                        MonteCarloOptions::Engine engine,
                        std::uint64_t& samples, Deadline& deadline) {
+  if (options.samples == 0 &&
+      !(std::isfinite(options.epsilon) && std::isfinite(options.delta))) {
+    return Status::InvalidArgument(
+        "Monte Carlo needs finite epsilon and delta to derive a sample count");
+  }
   samples = options.samples != 0
                 ? options.samples
                 : HoeffdingSampleSize(options.epsilon, options.delta);
@@ -28,11 +34,15 @@ Status ResolveSampling(const MonteCarloOptions& options,
         "Monte Carlo needs samples > 0 (or valid epsilon/delta)");
   }
   using Engine = MonteCarloOptions::Engine;
-  if (engine != Engine::kSerial &&
-      samples == std::numeric_limits<std::uint64_t>::max()) {
+  // A count saturated at UINT64_MAX never completes: the pooled engines
+  // cannot even count its blocks, and kSerial stops only at a deadline.
+  const bool bounded =
+      options.deadline.has_value() || options.time_limit_seconds > 0.0;
+  if (samples == std::numeric_limits<std::uint64_t>::max() &&
+      (engine != Engine::kSerial || !bounded)) {
     return Status::InvalidArgument(
-        "sample count saturated (epsilon too small or NaN); the pooled "
-        "engines need a finite count");
+        "sample count saturated (epsilon too small); only the kSerial "
+        "engine with a deadline can run it");
   }
   if (engine == Engine::kBlock && options.block_size == 0) {
     return Status::InvalidArgument("block engine needs block_size >= 1");
@@ -42,9 +52,7 @@ Status ResolveSampling(const MonteCarloOptions& options,
     return Status::InvalidArgument(
         "bit-sliced engine needs block_size a positive multiple of 64");
   }
-  deadline = options.deadline.has_value()
-                 ? options.deadline
-                 : Deadline::After(options.time_limit_seconds);
+  deadline = ResolveDeadline(options);
   if (options.cancel != nullptr && options.cancel->cancelled()) {
     return CancelledStatus();
   }
@@ -250,12 +258,12 @@ BatchPlan BuildBatchPlan(const Dataset& data, const PreferenceModel& model,
 Result<BatchSamRun> PrepareBatchSam(const Dataset& data,
                                     const PreferenceModel& model,
                                     ThreadPool& pool,
-                                    const SolverOptions& options,
-                                    MonteCarloOptions::Engine engine) {
+                                    const SolverOptions& options) {
   SKYPREF_RETURN_IF_ERROR(data.Validate());
   SKYPREF_RETURN_IF_ERROR(model.Validate(data));
   BatchSamRun run;
-  SKYPREF_RETURN_IF_ERROR(ResolveSampling(options.monte_carlo, engine,
+  SKYPREF_RETURN_IF_ERROR(ResolveSampling(options.monte_carlo,
+                                          MonteCarloOptions::Engine::kBitSliced,
                                           run.samples, run.deadline));
   run.stats.requested_samples = run.samples;
   // Absorption is pure win for the sampler too — an absorbed candidate's

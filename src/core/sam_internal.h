@@ -7,9 +7,9 @@
 /// shared-world estimators of all_worlds.cc): the one request front end
 /// every engine starts from, the scalar single-target world walk over
 /// internal::BuildFlatInstance's instance, the interned ternary batch
-/// plan with its scalar requirement walk and its 64-world mask walk, and
-/// the block-deterministic runner and block-prefix reductions that give
-/// the pooled engines the same seeding/truncation contract.
+/// plan with its 64-world mask walk, and the block-deterministic runner
+/// and block-prefix reduction that give the pooled engines the same
+/// seeding/truncation contract.
 ///
 /// Everything here is an implementation detail exposed only so the
 /// engine translation units (and their tests) can share one copy of the
@@ -59,10 +59,11 @@ struct SamRequest {
 /// The front end of the three single-target engines, each naming itself
 /// as \p engine. In order: target and candidate checks (OutOfRange;
 /// InvalidArgument for the target itself), the sample count and the
-/// engine's block-size rule (InvalidArgument; kBlock needs >= 1,
-/// kBitSliced a positive multiple of 64, and both a finite count — a
-/// Hoeffding count saturated at UINT64_MAX only the deadline-bounded
-/// kSerial loop can run), the deadline, the pre-cancel check
+/// engine's block-size rule (InvalidArgument: a derived count needs
+/// finite epsilon and delta; kBlock needs block_size >= 1, kBitSliced a
+/// positive multiple of 64, and both a finite count — a count saturated
+/// at UINT64_MAX only the kSerial loop can run, and only when a deadline
+/// or time limit stops it), the deadline, the pre-cancel check
 /// (Cancelled), then the dominance-sorted checking sequence.
 Result<SamRequest> PrepareSamRequest(const Dataset& data, ObjectId target,
                                      std::span<const ObjectId> candidates,
@@ -187,64 +188,6 @@ struct BatchPlan {
 BatchPlan BuildBatchPlan(const Dataset& data, const PreferenceModel& model,
                          std::span<const TargetGroups> groups);
 
-/// A variable's sampled outcome in one world. The values of the two
-/// preferred orientations are a requirement's want_hi bit.
-enum class Orientation : std::uint8_t {
-  kLoPreferred = 0,
-  kHiPreferred = 1,
-  kIncomparable = 2,
-};
-
-/// Scalar batch Sam's draw: one 64-bit draw against the variable's two
-/// cuts.
-inline Orientation DrawCut(const BatchPlan& plan, std::uint32_t p, Rng& rng) {
-  const std::uint64_t u = rng.NextUint64();
-  if (ThresholdHit(u, plan.cut_lo[p])) return Orientation::kLoPreferred;
-  return ThresholdHit(u, plan.cut_hi[p]) ? Orientation::kHiPreferred
-                                         : Orientation::kIncomparable;
-}
-
-/// Orientations memoized per world with epoch stamps; one world is shared
-/// by every target evaluated against the same memo.
-struct BatchMemo {
-  explicit BatchMemo(std::size_t pairs)
-      : epoch_mark(pairs, 0), outcome(pairs, Orientation::kIncomparable) {}
-
-  std::vector<std::uint64_t> epoch_mark;
-  std::vector<Orientation> outcome;
-  std::uint64_t epoch = 0;
-};
-
-/// True iff \p target survives the memo's current world. Orientations
-/// are drawn lazily through DrawCut and memoized, so every target of the
-/// world sees the same sampled preference — the consistency that makes
-/// shared worlds valid (all_worlds.h).
-inline bool BatchSurvives(const BatchPlan& plan, BatchMemo& memo,
-                          ObjectId target, Rng& rng,
-                          std::uint64_t* pair_draws) {
-  const std::uint32_t* reqs = plan.reqs.data();
-  const std::uint32_t* offsets = plan.req_offsets.data();
-  const std::uint32_t* slots_end = offsets + plan.target_begin[target + 1];
-  for (const std::uint32_t* slot = offsets + plan.target_begin[target];
-       slot != slots_end; ++slot) {
-    bool dominates = true;
-    for (const std::uint32_t* r = reqs + slot[0]; r != reqs + slot[1]; ++r) {
-      const std::uint32_t p = *r >> 1;
-      if (memo.epoch_mark[p] != memo.epoch) {
-        memo.epoch_mark[p] = memo.epoch;
-        memo.outcome[p] = DrawCut(plan, p, rng);
-        ++*pair_draws;
-      }
-      if (memo.outcome[p] != static_cast<Orientation>(*r & 1)) {
-        dominates = false;
-        break;
-      }
-    }
-    if (dominates) return false;
-  }
-  return true;
-}
-
 /// Lanes [0, step) of a possibly-partial trailing 64-world chunk.
 inline std::uint64_t ValidLanes(std::uint64_t step) {
   return step >= 64 ? ~0ULL : ((1ULL << step) - 1);
@@ -309,21 +252,14 @@ struct BatchSamRun {
   BatchSamStats stats;  // preprocessing fields and requested_samples
 };
 
-/// The front end of both batch engines: data and model validation, the
-/// checks of PrepareSamRequest from the sample count on, then the plan —
-/// Phase A over \p pool (PartitionAllTargets, honoring
+/// The front end of batch Sam: data and model validation, the checks of
+/// PrepareSamRequest from the sample count on under kBitSliced's rules,
+/// then the plan — Phase A over \p pool (PartitionAllTargets, honoring
 /// options.preprocess) and BuildBatchPlan.
 Result<BatchSamRun> PrepareBatchSam(const Dataset& data,
                                     const PreferenceModel& model,
                                     ThreadPool& pool,
-                                    const SolverOptions& options,
-                                    MonteCarloOptions::Engine engine);
-
-/// The bit-sliced batch world loop (sam_bitslice.cc) over a prepared run.
-Result<std::vector<double>> RunBitSlicedBatch(ThreadPool& pool,
-                                              BatchSamRun& run,
-                                              const MonteCarloOptions& mc,
-                                              BatchSamStats* stats);
+                                    const SolverOptions& options);
 
 // -------------------------------------------------------------------------
 // The block-deterministic runner
@@ -372,13 +308,13 @@ inline std::uint64_t BlockCount(std::uint64_t samples,
 /// `make_block(b)` builds block b's world closure (owning any per-block
 /// state); the closure is then called with (rng, step, &draws) — asked
 /// for `step` consecutive worlds at a time, at most `chunk` per call —
-/// against block b's private SplitSeed(seed, b) Rng. The scalar engines
-/// pass chunk = 1 (one world per call, polls at the serial cadence after
-/// every world); the bit-sliced engine passes chunk = 64 (one mask word
-/// per call, polls after every word). Deterministic per (seed,
-/// block_size, chunk) at every thread count; see sam_parallel.h for the
-/// truncation contract. Returns Cancelled when any block observes a
-/// tripped token.
+/// against block b's private SplitSeed(seed, b) Rng. kBlock passes
+/// chunk = 1 (one world per call, polls at the serial cadence after
+/// every world); the bit-sliced walks, single-target and batch, pass
+/// chunk = 64 (one mask word per call, polls after every word).
+/// Deterministic per (seed, block_size, chunk) at every thread count; see
+/// sam_parallel.h for the truncation contract. Returns Cancelled when any
+/// block observes a tripped token.
 template <typename MakeBlockFn>
 Status RunDeterministicBlocks(ThreadPool& pool, std::uint64_t samples,
                               std::uint64_t block_size, std::uint64_t chunk,
@@ -491,46 +427,6 @@ Result<MonteCarloResult> RunSamBlocks(ThreadPool& pool,
   SKYPREF_DCHECK(result.skyline_worlds <= result.samples);
   SKYPREF_DCHECK_PROB(result.estimate);
   return result;
-}
-
-/// Runs a prepared batch over \p pool in deterministic blocks and
-/// reduces the counted prefix into per-target estimates (run.stats,
-/// copied to \p stats when non-null). `make_world(counts)` builds one
-/// block's world closure, called as (rng, step, &draws), which adds each
-/// target's surviving worlds among the `step` just sampled to
-/// counts[target].
-template <typename MakeWorldFn>
-Result<std::vector<double>> RunBatchSamBlocks(ThreadPool& pool,
-                                              BatchSamRun& run,
-                                              const MonteCarloOptions& mc,
-                                              std::uint64_t chunk,
-                                              BatchSamStats* stats,
-                                              MakeWorldFn&& make_world) {
-  const std::size_t n = run.stats.targets;
-  std::vector<std::vector<std::uint64_t>> survived(
-      BlockCount(run.samples, mc.block_size), std::vector<std::uint64_t>(n, 0));
-  std::vector<BlockOutcome> outcomes;
-  SKYPREF_RETURN_IF_ERROR(RunDeterministicBlocks(
-      pool, run.samples, mc.block_size, chunk, mc.seed, run.deadline,
-      mc.cancel, outcomes,
-      [&](std::uint64_t b) { return make_world(survived[b].data()); }));
-
-  const BlockPrefix prefix = CountedPrefix(outcomes);
-  run.stats.truncated = prefix.truncated;
-  for (std::uint64_t b = 0; b < prefix.end; ++b) {
-    run.stats.samples += outcomes[b].achieved;
-    run.stats.pair_draws += outcomes[b].draws;
-  }
-  std::vector<double> estimates(n, 0.0);
-  for (ObjectId t = 0; t < n; ++t) {
-    std::uint64_t hits = 0;
-    for (std::uint64_t b = 0; b < prefix.end; ++b) hits += survived[b][t];
-    estimates[t] =
-        static_cast<double>(hits) / static_cast<double>(run.stats.samples);
-    SKYPREF_DCHECK_PROB(estimates[t]);
-  }
-  if (stats != nullptr) *stats = run.stats;
-  return estimates;
 }
 
 }  // namespace internal

@@ -59,48 +59,4 @@ Result<MonteCarloResult> PooledMonteCarloSkylineProbability(
                                            pool, options);
 }
 
-// -------------------------------------------------------------------------
-// Layer 3: batch Sam (plan built by sam_internal.cc)
-// -------------------------------------------------------------------------
-
-Result<std::vector<double>> BatchMonteCarloSkylineProbabilities(
-    const Dataset& data, const PreferenceModel& model, ThreadPool& pool,
-    const SolverOptions& options, BatchSamStats* stats) {
-  // Both engines share the plan-building front end; the bit-sliced one
-  // swaps the world loop below for mask words.
-  const bool sliced =
-      options.monte_carlo.engine == MonteCarloOptions::Engine::kBitSliced;
-  SKYPREF_ASSIGN_OR_RETURN(
-      internal::BatchSamRun run,
-      internal::PrepareBatchSam(data, model, pool, options,
-                                sliced ? MonteCarloOptions::Engine::kBitSliced
-                                       : MonteCarloOptions::Engine::kBlock));
-  if (sliced) {
-    return internal::RunBitSlicedBatch(pool, run, options.monte_carlo, stats);
-  }
-
-  // Phase C: the shared world stream, fanned out in deterministic blocks
-  // (same runner, same "sampler.block" failpoint, same truncation
-  // contract as the single-target engine). Each block owns its memo
-  // state and its per-target counters; the reduce sums the counted block
-  // prefix in index order.
-  using internal::BatchMemo;
-  const internal::BatchPlan& plan = run.plan;
-  const std::size_t n = data.size();
-  return internal::RunBatchSamBlocks(
-      pool, run, options.monte_carlo, /*chunk=*/1, stats,
-      [&](std::uint64_t* counts) {
-        return [&plan, counts, n, memo = BatchMemo(plan.pair_count())](
-                   Rng& rng, std::uint64_t step, std::uint64_t* draws) mutable {
-          (void)step;  // chunk = 1: exactly one world per call
-          ++memo.epoch;
-          for (ObjectId t = 0; t < n; ++t) {
-            if (internal::BatchSurvives(plan, memo, t, rng, draws)) {
-              ++counts[t];
-            }
-          }
-        };
-      });
-}
-
 }  // namespace skypref

@@ -51,13 +51,16 @@
 ///     exact solver's machinery — ValuePostings-driven absorption,
 ///     PartitionWorkspace-recycled partitioning — and each target
 ///     checks its possible dominators in descending dominance-
-///     probability order (Algorithm 2 line 1). This turns the
+///     probability order (Algorithm 2 line 1). The world loop is
+///     bit-sliced (sam_bitslice.h): 64 worlds per chunk, each variable
+///     drawn as two mutually exclusive mask words shared by every target
+///     (internal::BatchChunkSurvivors, the mask walk the shared-world
+///     sampler of all_worlds.h also runs). This turns the
 ///     O(targets x worlds x pairs) draw count of a per-target loop into
-///     O(worlds x distinct pairs) plus cheap per-target outcome checks;
-///     the saving is measured in pair_draws (bench_hotpath's sam
-///     section). Blocks parallelize exactly as in layer 2, each with a
-///     private memo table, so batch estimates are also bit-identical
-///     per thread count.
+///     O(worlds x distinct pairs) plus cheap per-target mask checks;
+///     the saving shows in pair_draws. Blocks parallelize exactly as in
+///     layer 2, each with a private mask memo, so batch estimates are
+///     also bit-identical per thread count.
 ///
 /// Guarantee: each per-target estimate individually obeys Theorem 2
 /// (it is an average of i.i.d. world indicators), so
@@ -133,10 +136,10 @@ struct BatchSamStats : BatchPreprocessStats {
 /// above). Element i estimates sky(i) within options.monte_carlo's
 /// (epsilon, delta) marginally. Deterministic per (seed, block_size) and
 /// bit-identical for every thread count of \p pool; deadline truncation
-/// keeps the block-prefix estimates with stats->truncated set.
-/// options.monte_carlo.engine == kBitSliced runs the bit-sliced batch
-/// world loop (sam_bitslice.h) over the same plan; any other value runs
-/// the scalar one. options.exact is unused; options.preprocess toggles
+/// keeps the block-prefix estimates with stats->truncated set. The world
+/// loop is always the bit-sliced one, so options.monte_carlo.block_size
+/// must be a positive multiple of 64 and options.monte_carlo.engine is
+/// ignored. options.exact is unused; options.preprocess toggles
 /// absorption + partition exactly as in the exact batch solver.
 Result<std::vector<double>> BatchMonteCarloSkylineProbabilities(
     const Dataset& data, const PreferenceModel& model, ThreadPool& pool,

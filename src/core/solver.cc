@@ -90,6 +90,9 @@ Result<double> SkylineSolver::Exact(ObjectId target,
   if (target >= data_->size()) {
     return Status::OutOfRange("target object out of range");
   }
+  // ONE deadline for the whole query (see ExactOptions::deadline).
+  ExactOptions exact = options.exact;
+  exact.deadline = internal::ResolveDeadline(exact);
   SolveStats local;
   DoubleOracle oracle(*model_);
   double result = 1.0;
@@ -98,7 +101,7 @@ Result<double> SkylineSolver::Exact(ObjectId target,
     ExactStats exact_stats;
     SKYPREF_ASSIGN_OR_RETURN(
         double group_prob,
-        ExactSkylineProbability(*data_, target, group, oracle, options.exact,
+        ExactSkylineProbability(*data_, target, group, oracle, exact,
                                 &exact_stats));
     local.subsets_visited += exact_stats.subsets_visited;
     SKYPREF_DCHECK_PROB(group_prob);
@@ -129,6 +132,9 @@ Result<double> SkylineSolver::MonteCarloImpl(ObjectId target,
   if (target >= data_->size()) {
     return Status::OutOfRange("target object out of range");
   }
+  // ONE deadline for the whole query, as in Exact: every sampled group
+  // truncates against it.
+  const Deadline deadline = internal::ResolveDeadline(options.monte_carlo);
   SolveStats local;
   std::vector<std::vector<ObjectId>> groups =
       CandidateGroups(*data_, target, options.preprocess, &local);
@@ -148,6 +154,7 @@ Result<double> SkylineSolver::MonteCarloImpl(ObjectId target,
   if (!sampled_groups.empty()) {
     // Split the error budget across the sampled groups (see file comment).
     MonteCarloOptions per_group = options.monte_carlo;
+    per_group.deadline = deadline;
     if (per_group.samples == 0) {
       double share = static_cast<double>(sampled_groups.size());
       per_group.epsilon = options.monte_carlo.epsilon / share;
@@ -513,12 +520,15 @@ Result<Rational> ExactSkylineProbabilityRational(
   if (target >= data.size()) {
     return Status::OutOfRange("target object out of range");
   }
+  // ONE deadline for the whole query (see ExactOptions::deadline).
+  ExactOptions exact = options;
+  exact.deadline = internal::ResolveDeadline(options);
   RationalOracle oracle(model);
   Rational result(1);
   for (const auto& group : CandidateGroups(data, target, preprocess)) {
     SKYPREF_ASSIGN_OR_RETURN(
         Rational group_prob,
-        ExactSkylineProbability(data, target, group, oracle, options));
+        ExactSkylineProbability(data, target, group, oracle, exact));
     result = result * group_prob;
   }
   return result;

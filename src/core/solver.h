@@ -74,13 +74,17 @@ class SkylineSolver {
   static Result<SkylineSolver> Create(const Dataset& data,
                                       const PreferenceModel& model);
 
-  /// Det / Det+: exact sky(target).
+  /// Det / Det+: exact sky(target). options.exact.time_limit_seconds
+  /// bounds the whole query: one deadline is resolved up front and shared
+  /// by every group solve.
   Result<double> Exact(ObjectId target, const SolverOptions& options = {},
                        SolveStats* stats = nullptr) const;
 
   /// Sam / Sam+: (epsilon, delta)-approximate sky(target). Dispatches on
-  /// options.monte_carlo.engine; the kBlock engine runs over an inline
+  /// options.monte_carlo.engine; the pooled engines run over an inline
   /// pool here (bit-identical to the pool overload at any thread count).
+  /// As in Exact, one deadline bounds the whole query; a group it stops
+  /// keeps its truncated estimate.
   Result<double> MonteCarlo(ObjectId target, const SolverOptions& options = {},
                             SolveStats* stats = nullptr) const;
 
@@ -235,7 +239,8 @@ Result<double> ExpectedSkylineCardinality(const Dataset& data,
 
 /// Exact sky(target) in rational arithmetic — the bit-exact reference used
 /// by the test suite. \p preprocess toggles absorption + partition, whose
-/// product recombination is also exact in this mode.
+/// product recombination is also exact in this mode. As in
+/// SkylineSolver::Exact, one deadline bounds every group solve.
 Result<Rational> ExactSkylineProbabilityRational(
     const Dataset& data, ObjectId target, const RationalPreferenceModel& model,
     bool preprocess = false, const ExactOptions& options = {});

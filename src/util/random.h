@@ -196,8 +196,8 @@ void NextBernoulliWords8Scalar(OctoRng& o, std::uint64_t threshold,
 /// preferred" (cut_lo <= U < cut_hi); a bit set in neither mask is
 /// "incomparable". The masks are mutually exclusive by construction
 /// because every revealed U bit is shared by both comparisons — the
-/// word-level analog of resolving both `ThresholdHit` tests of
-/// sam_parallel.cc's scalar batch sampler from a single NextUint64.
+/// word-level analog of resolving both `ThresholdHit` tests against one
+/// NextUint64.
 inline void NextTernaryWords(Rng& rng, std::uint64_t cut_lo,
                              std::uint64_t cut_hi, std::uint64_t* lo_mask,
                              std::uint64_t* hi_mask) {

@@ -82,23 +82,18 @@ TEST_F(FailpointTest, ScopedFailpointDisarmsOnExit) {
   EXPECT_FALSE(failpoint::Hit("test.scoped"));
 }
 
-TEST_F(FailpointTest, ExactDfsSiteForcesResourceExhaustedInBothEngines) {
+TEST_F(FailpointTest, ExactDfsSiteForcesResourceExhausted) {
   SKYPREF_REQUIRE_FAILPOINTS();
   Dataset data = RandomSmallDataset(31, 10, 2, 4);
   TablePreferenceModel model;
-  for (auto engine :
-       {ExactOptions::Engine::kFlat, ExactOptions::Engine::kLookup}) {
-    ExactOptions options;
-    options.engine = engine;
-    {
-      failpoint::ScopedFailpoint armed("exact.dfs");
-      auto run = ExactSkylineProbability(data, 0, model, options);
-      EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted);
-      EXPECT_NE(run.status().message().find("failpoint"), std::string::npos);
-    }
-    // Disarmed, the same solve succeeds.
-    EXPECT_TRUE(ExactSkylineProbability(data, 0, model, options).ok());
+  {
+    failpoint::ScopedFailpoint armed("exact.dfs");
+    auto run = ExactSkylineProbability(data, 0, model);
+    EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_NE(run.status().message().find("failpoint"), std::string::npos);
   }
+  // Disarmed, the same solve succeeds.
+  EXPECT_TRUE(ExactSkylineProbability(data, 0, model).ok());
 }
 
 TEST_F(FailpointTest, SamplerSiteTruncatesAtThePollBoundary) {

@@ -1,10 +1,10 @@
-/// The flattened Det hot path against the original lookup engine.
+/// The flattened Det hot path on fixed instances: goldens, the flat
+/// instance's pair interning, and the budget and deadline exits.
 ///
-/// FlatExactEngine's contract is strict bit-identity: it discovers the
-/// distinct (dim, value) factors in the same candidate-major order the
-/// lookup engine multiplies them, so both engines produce the same
-/// doubles (and the same subsets_visited) on every instance — not just
-/// values within an epsilon.
+/// FlatExactEngine is the only Det DFS. Its values are checked against
+/// possible-world enumeration bit-exactly in rational arithmetic by
+/// property_test (RandomInstanceTest.ExactEqualsBruteForceBitExactly) and
+/// against ExactSkylineProbabilityRational by hotpath_property_test.
 
 #include "src/core/exact.h"
 
@@ -15,8 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/parallel.h"
 #include "src/core/solver.h"
-#include "src/model/preference_generator.h"
 #include "test_util.h"
 
 namespace skypref {
@@ -37,58 +37,8 @@ std::vector<ObjectId> AllBut(const Dataset& data, ObjectId target) {
 TEST(FlatExactTest, GoldenExample1) {
   Dataset data = Example1Dataset();
   TablePreferenceModel model;
-  ExactOptions flat;
-  flat.engine = ExactOptions::Engine::kFlat;
-  EXPECT_DOUBLE_EQ(ExactSkylineProbability(data, 0, model, flat).value(),
+  EXPECT_DOUBLE_EQ(ExactSkylineProbability(data, 0, model).value(),
                    3.0 / 16.0);
-  ExactOptions lookup;
-  lookup.engine = ExactOptions::Engine::kLookup;
-  EXPECT_DOUBLE_EQ(ExactSkylineProbability(data, 0, model, lookup).value(),
-                   3.0 / 16.0);
-}
-
-TEST(FlatExactTest, MatchesLookupBitwiseOnRandomInstances) {
-  for (std::uint64_t seed : {3u, 7u, 19u, 23u}) {
-    Dataset data = RandomSmallDataset(seed, 12, 3, 4);
-    TablePreferenceModel model;
-    ExactOptions flat;
-    flat.engine = ExactOptions::Engine::kFlat;
-    ExactOptions lookup;
-    lookup.engine = ExactOptions::Engine::kLookup;
-    for (ObjectId target = 0; target < data.size(); ++target) {
-      ExactStats flat_stats, lookup_stats;
-      double via_flat =
-          ExactSkylineProbability(data, target, model, flat, &flat_stats)
-              .value();
-      double via_lookup =
-          ExactSkylineProbability(data, target, model, lookup, &lookup_stats)
-              .value();
-      EXPECT_EQ(via_flat, via_lookup)
-          << "seed=" << seed << " target=" << target;
-      EXPECT_EQ(flat_stats.subsets_visited, lookup_stats.subsets_visited)
-          << "seed=" << seed << " target=" << target;
-    }
-  }
-}
-
-TEST(FlatExactTest, RationalEnginesAgreeExactly) {
-  Dataset data = RandomSmallDataset(11, 8, 2, 4);
-  RationalPreferenceModel model;
-  GenerateRationalPreferences(data, 99, 8, &model).CheckOK();
-  RationalOracle oracle(model);
-  ExactOptions flat;
-  flat.engine = ExactOptions::Engine::kFlat;
-  ExactOptions lookup;
-  lookup.engine = ExactOptions::Engine::kLookup;
-  for (ObjectId target = 0; target < data.size(); ++target) {
-    std::vector<ObjectId> candidates = AllBut(data, target);
-    EXPECT_EQ(
-        ExactSkylineProbability(data, target, candidates, oracle, flat)
-            .value(),
-        ExactSkylineProbability(data, target, candidates, oracle, lookup)
-            .value())
-        << "target=" << target;
-  }
 }
 
 TEST(FlatExactTest, EmptyCandidateListIsCertainSkyline) {
@@ -103,17 +53,22 @@ TEST(FlatExactTest, EmptyCandidateListIsCertainSkyline) {
   EXPECT_EQ(stats.subsets_visited, 0u);
 }
 
+// Both DFS engines over one flattened instance: the serial walk and the
+// intra-group parallel one (parallel.h), which charges a shared budget.
 TEST(FlatExactTest, SubsetBudgetTripsBothEngines) {
   Dataset data = RandomSmallDataset(5, 10, 2, 4);
   TablePreferenceModel model;
-  for (auto engine :
-       {ExactOptions::Engine::kFlat, ExactOptions::Engine::kLookup}) {
-    ExactOptions tight;
-    tight.engine = engine;
-    tight.max_subsets = 3;
-    EXPECT_EQ(ExactSkylineProbability(data, 0, model, tight).status().code(),
-              StatusCode::kResourceExhausted);
-  }
+  ExactOptions tight;
+  tight.max_subsets = 3;
+  EXPECT_EQ(ExactSkylineProbability(data, 0, model, tight).status().code(),
+            StatusCode::kResourceExhausted);
+  std::vector<ObjectId> candidates = AllBut(data, 0);
+  internal::FlatInstance<DoubleOracle> instance = internal::BuildFlatInstance(
+      data, 0, std::span<const ObjectId>(candidates), DoubleOracle(model));
+  internal::ParallelExactEngine<DoubleOracle> parallel(instance, tight, 4);
+  ThreadPool pool(2);
+  EXPECT_EQ(parallel.Run(pool).status().code(),
+            StatusCode::kResourceExhausted);
 }
 
 TEST(FlatExactTest, PreExpiredSharedDeadlineAborts) {
@@ -122,16 +77,11 @@ TEST(FlatExactTest, PreExpiredSharedDeadlineAborts) {
   // under unanimous preferences (no zero factors to prune).
   Dataset data = RandomSmallDataset(31, 14, 3, 4);
   TablePreferenceModel model;
-  for (auto engine :
-       {ExactOptions::Engine::kFlat, ExactOptions::Engine::kLookup}) {
-    ExactOptions expired;
-    expired.engine = engine;
-    expired.deadline = Deadline::At(std::chrono::steady_clock::now() -
-                                    std::chrono::seconds(1));
-    EXPECT_EQ(
-        ExactSkylineProbability(data, 0, model, expired).status().code(),
-        StatusCode::kResourceExhausted);
-  }
+  ExactOptions expired;
+  expired.deadline =
+      Deadline::At(std::chrono::steady_clock::now() - std::chrono::seconds(1));
+  EXPECT_EQ(ExactSkylineProbability(data, 0, model, expired).status().code(),
+            StatusCode::kResourceExhausted);
 }
 
 TEST(FlatExactTest, FlatInstanceDeduplicatesSharedPairs) {

@@ -2,9 +2,9 @@
 ///
 /// For every seeded instance the rational oracle is the referee:
 ///
-///   * flat and lookup DFS engines agree bit-exactly with
-///     ExactSkylineProbabilityRational (rational instantiations) and
-///     with each other in doubles;
+///   * the flat DFS engine agrees bit-exactly with
+///     ExactSkylineProbabilityRational (rational instantiation) and
+///     tracks it to 1e-12 in doubles;
 ///   * ParallelExactEngine reproduces the serial rational sum EXACTLY
 ///     (rational addition is associative, so the fixed-order reduction
 ///     cannot drift) at every thread count;
@@ -70,35 +70,20 @@ class HotpathPropertyTest : public ::testing::TestWithParam<HotpathSpec> {
 
 TEST_P(HotpathPropertyTest, EnginesMatchTheRationalReferee) {
   RationalOracle oracle(model_);
-  ExactOptions flat;
-  flat.engine = ExactOptions::Engine::kFlat;
-  ExactOptions lookup;
-  lookup.engine = ExactOptions::Engine::kLookup;
+  DoubleOracle doubles(model_);
   for (ObjectId target = 0; target < data_.size(); ++target) {
     std::vector<ObjectId> candidates = Candidates(target);
     Rational reference =
         ExactSkylineProbabilityRational(data_, target, model_, false).value();
-    EXPECT_EQ(
-        ExactSkylineProbability(data_, target, candidates, oracle, flat)
-            .value(),
-        reference)
+    EXPECT_EQ(ExactSkylineProbability(data_, target, candidates, oracle).value(),
+              reference)
         << "target=" << target;
-    EXPECT_EQ(
-        ExactSkylineProbability(data_, target, candidates, oracle, lookup)
-            .value(),
-        reference)
+    // Doubles track the rational truth within compensated-summation
+    // tolerance.
+    double via_doubles =
+        ExactSkylineProbability(data_, target, candidates, doubles).value();
+    EXPECT_NEAR(via_doubles, reference.ToDouble(), 1e-12)
         << "target=" << target;
-    // Doubles: the two engines are bit-identical to each other and track
-    // the rational truth within compensated-summation tolerance.
-    DoubleOracle doubles(model_);
-    double via_flat =
-        ExactSkylineProbability(data_, target, candidates, doubles, flat)
-            .value();
-    double via_lookup =
-        ExactSkylineProbability(data_, target, candidates, doubles, lookup)
-            .value();
-    EXPECT_EQ(via_flat, via_lookup) << "target=" << target;
-    EXPECT_NEAR(via_flat, reference.ToDouble(), 1e-12) << "target=" << target;
   }
 }
 

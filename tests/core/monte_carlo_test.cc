@@ -220,6 +220,46 @@ TEST(MonteCarloTest, InvalidArgumentsRejected) {
             StatusCode::kInvalidArgument);
 }
 
+// A derived count needs finite epsilon and delta, and a count saturated
+// at UINT64_MAX (epsilon = 1e-12, or asked for outright) never
+// completes, so without a deadline to stop it the request is rejected
+// up front. The guard turns a hang into Cancelled.
+TEST(MonteCarloTest, UnboundedSaturatedCountRejected) {
+  Dataset data = Figure1Dataset();
+  TablePreferenceModel model;
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  struct Case {
+    double epsilon;
+    double delta;
+    std::uint64_t samples;
+  };
+  for (const Case& c :
+       {Case{1e-12, 0.01, 0}, Case{kNaN, 0.01, 0}, Case{0.01, kNaN, 0},
+        Case{kInf, 0.01, 0},
+        Case{0.01, 0.01, std::numeric_limits<std::uint64_t>::max()}}) {
+    testing::CancelAfter guard(2.0);
+    MonteCarloOptions options;
+    options.epsilon = c.epsilon;
+    options.delta = c.delta;
+    options.samples = c.samples;
+    options.cancel = guard.token();
+    EXPECT_EQ(MonteCarloSkylineProbability(data, 0, model, options)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "epsilon=" << c.epsilon << " delta=" << c.delta
+        << " samples=" << c.samples;
+  }
+  // A shared deadline bounds the loop as well as a time limit does.
+  MonteCarloOptions bounded;
+  bounded.epsilon = 1e-12;
+  bounded.deadline = Deadline::After(0.01);
+  auto run = MonteCarloSkylineProbability(data, 0, model, bounded);
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_TRUE(run->truncated);
+}
+
 TEST(HoeffdingTest, EpsilonIsTheInverseOfSampleSize) {
   for (double epsilon : {0.1, 0.05, 0.01}) {
     for (double delta : {0.1, 0.01}) {

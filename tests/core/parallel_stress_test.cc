@@ -163,29 +163,25 @@ TEST(ParallelDeterminismStressTest, BatchSolverThreadSweep) {
 }
 
 TEST(ParallelDeterminismStressTest, AllWorldsSweepAndSharedPoolReuse) {
-  // All-objects sampling is batch Sam: one stream of shared worlds per
-  // engine, bit-identical to the inline pool on every reuse of one pool.
+  // All-objects sampling is batch Sam: one stream of shared worlds,
+  // bit-identical to the inline pool on every reuse of one pool.
   Dataset data = RandomSmallDataset(53, 14, 2, 4);
   HashedPreferenceModel model(11, HashedPreferenceModel::Style::kTotalUniform);
   ThreadPool pool(4);
-  for (MonteCarloOptions::Engine engine : kPooledEngines) {
-    SolverOptions options;
-    options.monte_carlo.samples = 3008;
-    options.monte_carlo.seed = 21;
-    options.monte_carlo.block_size = 256;
-    options.monte_carlo.engine = engine;
+  SolverOptions options;
+  options.monte_carlo.samples = 3008;
+  options.monte_carlo.seed = 21;
+  options.monte_carlo.block_size = 256;
 
-    ThreadPool reference_pool(0);
-    auto reference = BatchMonteCarloSkylineProbabilities(
-        data, model, reference_pool, options);
-    ASSERT_TRUE(reference.ok());
+  ThreadPool reference_pool(0);
+  auto reference =
+      BatchMonteCarloSkylineProbabilities(data, model, reference_pool, options);
+  ASSERT_TRUE(reference.ok());
 
-    for (int round = 0; round < 5; ++round) {
-      auto run = BatchMonteCarloSkylineProbabilities(data, model, pool,
-                                                     options);
-      ASSERT_TRUE(run.ok());
-      ASSERT_EQ(*run, *reference) << "round " << round;
-    }
+  for (int round = 0; round < 5; ++round) {
+    auto run = BatchMonteCarloSkylineProbabilities(data, model, pool, options);
+    ASSERT_TRUE(run.ok());
+    ASSERT_EQ(*run, *reference) << "round " << round;
   }
 }
 

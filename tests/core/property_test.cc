@@ -159,7 +159,11 @@ INSTANTIATE_TEST_SUITE_P(
         InstanceSpec{9, 6, 3, 3, true}, InstanceSpec{10, 8, 2, 3, true},
         InstanceSpec{11, 5, 4, 3, true}, InstanceSpec{12, 7, 1, 8, true},
         InstanceSpec{13, 9, 2, 4, false}, InstanceSpec{14, 9, 2, 4, true},
-        InstanceSpec{15, 4, 5, 2, false}, InstanceSpec{16, 10, 2, 4, true}),
+        InstanceSpec{15, 4, 5, 2, false}, InstanceSpec{16, 10, 2, 4, true},
+        // flat_exact_test's former random shapes: 11 candidates over at
+        // most 9 preference variables each.
+        InstanceSpec{3, 12, 3, 4, false}, InstanceSpec{7, 12, 3, 4, false},
+        InstanceSpec{19, 12, 3, 4, false}, InstanceSpec{23, 12, 3, 4, false}),
     [](const ::testing::TestParamInfo<InstanceSpec>& param_info) {
       const InstanceSpec& s = param_info.param;
       return "seed" + std::to_string(s.seed) + "_n" +

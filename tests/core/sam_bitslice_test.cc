@@ -275,70 +275,6 @@ TEST(BitSlicedSamTest, FailpointPoisonsTheSameBlockAtEveryThreadCount) {
 
 #endif  // SKYPREF_FAILPOINTS
 
-TEST(BitSlicedBatchTest, BitIdenticalAcrossThreadCounts) {
-  Dataset data = RandomSmallDataset(23, 20, 3, 4);
-  TablePreferenceModel model;
-  SolverOptions options;
-  options.monte_carlo.engine = MonteCarloOptions::Engine::kBitSliced;
-  options.monte_carlo.samples = 3008;  // 47 chunks: exercises 5+ blocks
-  options.monte_carlo.block_size = 512;
-  options.monte_carlo.seed = 77;
-
-  ThreadPool baseline_pool(0);
-  BatchSamStats baseline_stats;
-  auto baseline = BatchMonteCarloSkylineProbabilities(
-      data, model, baseline_pool, options, &baseline_stats);
-  ASSERT_TRUE(baseline.ok()) << baseline.status();
-  ASSERT_EQ(baseline->size(), data.size());
-  EXPECT_EQ(baseline_stats.samples, 3008u);
-  EXPECT_FALSE(baseline_stats.truncated);
-
-  for (std::size_t threads : kThreadCounts) {
-    ThreadPool pool(threads);
-    BatchSamStats stats;
-    auto run = BatchMonteCarloSkylineProbabilities(data, model, pool, options,
-                                                   &stats);
-    ASSERT_TRUE(run.ok()) << run.status();
-    EXPECT_EQ(*run, *baseline) << "threads=" << threads;
-    EXPECT_EQ(stats.pair_draws, baseline_stats.pair_draws)
-        << "threads=" << threads;
-    EXPECT_EQ(stats.samples, baseline_stats.samples) << "threads=" << threads;
-  }
-}
-
-TEST(BitSlicedBatchTest, AgreesWithScalarBatchWithinSummedBars) {
-  Dataset data = RandomSmallDataset(41, 16, 2, 5);
-  TablePreferenceModel model;
-  SolverOptions scalar;
-  scalar.monte_carlo.samples = 4096;
-  scalar.monte_carlo.seed = 8;
-  SolverOptions sliced = scalar;
-  sliced.monte_carlo.engine = MonteCarloOptions::Engine::kBitSliced;
-  ThreadPool pool(2);
-
-  auto a = BatchMonteCarloSkylineProbabilities(data, model, pool, scalar);
-  auto b = BatchMonteCarloSkylineProbabilities(data, model, pool, sliced);
-  ASSERT_TRUE(a.ok()) << a.status();
-  ASSERT_TRUE(b.ok()) << b.status();
-  const double bar = 2.0 * HoeffdingEpsilon(4096, 0.01);
-  for (ObjectId t = 0; t < data.size(); ++t) {
-    EXPECT_NEAR((*a)[t], (*b)[t], bar) << "target=" << t;
-  }
-}
-
-TEST(BitSlicedBatchTest, SaturatedSampleCountRejected) {
-  Dataset data = Figure1Dataset();
-  TablePreferenceModel model;
-  ThreadPool pool(2);
-  SolverOptions options;
-  options.monte_carlo.engine = MonteCarloOptions::Engine::kBitSliced;
-  options.monte_carlo.epsilon = 1e-12;
-  EXPECT_EQ(BatchMonteCarloSkylineProbabilities(data, model, pool, options)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-}
-
 TEST(SolverEngineTest, BitSlicedEngineThroughSolverMatchesDirectCall) {
   Dataset data = RandomSmallDataset(13, 14, 2, 4);
   TablePreferenceModel model;

@@ -539,12 +539,33 @@ TEST(BatchSamTest, SaturatedSampleCountRejected) {
   Dataset data = Figure1Dataset();
   TablePreferenceModel model;
   ThreadPool pool(2);
-  SolverOptions options;
-  options.monte_carlo.epsilon = 1e-12;
-  EXPECT_EQ(BatchMonteCarloSkylineProbabilities(data, model, pool, options)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
+  for (double epsilon : {1e-12, std::numeric_limits<double>::quiet_NaN()}) {
+    SolverOptions options;
+    options.monte_carlo.epsilon = epsilon;
+    EXPECT_EQ(BatchMonteCarloSkylineProbabilities(data, model, pool, options)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "epsilon=" << epsilon;
+  }
+}
+
+// The world loop is bit-sliced whatever monte_carlo.engine says, so a
+// block must hold whole 64-world chunks.
+TEST(BatchSamTest, RejectsBlockSizeNotAMultipleOf64) {
+  Dataset data = Figure1Dataset();
+  TablePreferenceModel model;
+  ThreadPool pool(0);
+  for (std::uint64_t block_size : {std::uint64_t{0}, std::uint64_t{100}}) {
+    SolverOptions options;
+    options.monte_carlo.samples = 128;
+    options.monte_carlo.block_size = block_size;
+    EXPECT_EQ(BatchMonteCarloSkylineProbabilities(data, model, pool, options)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "block_size=" << block_size;
+  }
 }
 
 TEST(SolverEngineTest, BlockEngineThroughSolverMatchesDirectCall) {

@@ -1,5 +1,8 @@
 #include "src/core/solver.h"
 
+#include <cstdint>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "test_util.h"
@@ -9,6 +12,7 @@ namespace {
 
 using skypref::testing::Example1Dataset;
 using skypref::testing::Figure1Dataset;
+using skypref::testing::ManyGroupsDataset;
 using skypref::testing::RandomSmallDataset;
 using skypref::testing::UnanimousHalfRational;
 
@@ -182,6 +186,70 @@ TEST(SolverTest, SingleObjectDatasetIsAlwaysSkyline) {
   auto solver = SkylineSolver::Create(data, model).value();
   EXPECT_DOUBLE_EQ(solver.Exact(0).value(), 1.0);
   EXPECT_DOUBLE_EQ(solver.MonteCarlo(0).value(), 1.0);
+}
+
+// Det+ resolves ONE deadline per query: 32 groups whose DFS (2^20
+// subsets, about 20 ms each on a 2020s x86-64 core) finishes inside the
+// limit on its own, but not all of them together.
+TEST(SolverTest, ExactTimeLimitBoundsTheWholeQuery) {
+  Dataset data = ManyGroupsDataset(32, 20);
+  TablePreferenceModel model;
+  auto solver = SkylineSolver::Create(data, model).value();
+  SolverOptions options;
+  options.exact.time_limit_seconds = 0.05;
+  SolveStats stats;
+  EXPECT_EQ(solver.Exact(0, options, &stats).status().code(),
+            StatusCode::kResourceExhausted);
+}
+
+// The same in rationals: 12 groups of 2^13 subsets, about 140 ms each
+// (the deadline is polled every 4096 subsets, so a group needs at least
+// 13 candidates to poll it at all).
+TEST(SolverTest, RationalTimeLimitBoundsTheWholeQuery) {
+  Dataset data = ManyGroupsDataset(12, 13);
+  RationalPreferenceModel model = UnanimousHalfRational(data);
+  ExactOptions options;
+  options.time_limit_seconds = 0.3;
+  EXPECT_EQ(ExactSkylineProbabilityRational(data, 0, model, true, options)
+                .status()
+                .code(),
+            StatusCode::kResourceExhausted);
+}
+
+// Sam+ shares the query's deadline too: once it passes, every remaining
+// group keeps a truncated estimate instead of drawing its full count.
+TEST(SolverTest, MonteCarloTimeLimitBoundsTheWholeQuery) {
+  constexpr std::size_t kGroups = 24;
+  constexpr std::uint64_t kSamples = 400000;  // about 20 ms per group
+  Dataset data = ManyGroupsDataset(kGroups, 6);
+  TablePreferenceModel model;
+  auto solver = SkylineSolver::Create(data, model).value();
+  SolverOptions options;
+  options.monte_carlo.samples = kSamples;
+  options.monte_carlo.time_limit_seconds = 0.05;
+  SolveStats stats;
+  auto run = solver.MonteCarlo(0, options, &stats);
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_EQ(stats.groups, kGroups);
+  EXPECT_LT(stats.samples_drawn, kGroups * kSamples);
+}
+
+// Sam with a count that cannot complete and no deadline to stop it is
+// rejected through the facade too; the guard turns a hang into Cancelled.
+TEST(SolverTest, MonteCarloRejectsUnboundedSaturatedCount) {
+  Dataset data = Figure1Dataset();
+  TablePreferenceModel model;
+  auto solver = SkylineSolver::Create(data, model).value();
+  for (double epsilon : {1e-12, std::numeric_limits<double>::quiet_NaN()}) {
+    testing::CancelAfter guard(2.0);
+    SolverOptions options;
+    options.preprocess = false;  // one sampled group
+    options.monte_carlo.epsilon = epsilon;
+    options.monte_carlo.cancel = guard.token();
+    EXPECT_EQ(solver.MonteCarlo(0, options).status().code(),
+              StatusCode::kInvalidArgument)
+        << "epsilon=" << epsilon;
+  }
 }
 
 }  // namespace

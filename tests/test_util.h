@@ -8,13 +8,17 @@
 /// Both instances use the paper's "every pair equally preferred with
 /// probability 1/2" model.
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "src/model/dataset.h"
 #include "src/model/preference_generator.h"
 #include "src/model/preference_model.h"
+#include "src/util/cancel.h"
 #include "src/util/check.h"
 #include "src/util/random.h"
 
@@ -88,6 +92,58 @@ inline Dataset RandomSmallDataset(std::uint64_t seed, std::size_t objects,
   }
   return data;
 }
+
+/// A target (0, 0) and \p groups independence groups of \p per_group
+/// candidates each: group g's candidates take value g + 1 on dimension 0
+/// and distinct values on dimension 1, so they share one preference
+/// variable within the group and none across groups, and none absorbs
+/// another. Object 0 is the target.
+inline Dataset ManyGroupsDataset(std::size_t groups, std::size_t per_group) {
+  Dataset data(2);
+  data.Append({0, 0}).CheckOK();
+  ValueId next = 1;
+  for (std::size_t g = 0; g < groups; ++g) {
+    for (std::size_t i = 0; i < per_group; ++i) {
+      data.Append({static_cast<ValueId>(g + 1), next++}).CheckOK();
+    }
+  }
+  return data;
+}
+
+/// Trips a CancelToken from a helper thread once \p seconds pass, unless
+/// the guard is destroyed first. A test of a call that must return at
+/// once passes guard.token() as the call's cancel token, so a call that
+/// would hang fails with Cancelled instead.
+class CancelAfter {
+ public:
+  explicit CancelAfter(double seconds)
+      : thread_([this, seconds] {
+          const auto until = std::chrono::steady_clock::now() +
+                             std::chrono::duration_cast<
+                                 std::chrono::steady_clock::duration>(
+                                 std::chrono::duration<double>(seconds));
+          while (!done_.load()) {
+            if (std::chrono::steady_clock::now() >= until) {
+              token_.RequestCancel();
+              return;
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+          }
+        }) {}
+  ~CancelAfter() {
+    done_.store(true);
+    thread_.join();
+  }
+  CancelAfter(const CancelAfter&) = delete;
+  CancelAfter& operator=(const CancelAfter&) = delete;
+
+  const CancelToken* token() const { return &token_; }
+
+ private:
+  CancelToken token_;
+  std::atomic<bool> done_{false};
+  std::thread thread_;  // last: starts after the members it reads
+};
 
 /// The fixed seeded instance of stream_pin_test, on which every random
 /// stream is pinned.

@@ -87,9 +87,8 @@ ENGINE_FILES = {
 
 # Calls that mark a loop as doing per-world / per-subset solve work.
 WORK_MARKERS = {
-    "SampleWorld", "SampleFlatWorld", "NextWorld", "Survives",
-    "BatchSurvives", "TaskDfs", "Dfs", "SampleChunk",
-    "BatchChunkSurvivors", "NextChunk", "ChunkSurvivors",
+    "SampleWorld", "NextWorld", "Survives", "TaskDfs", "Dfs",
+    "SampleChunk", "BatchChunkSurvivors", "NextChunk", "ChunkSurvivors",
 }
 
 # Direct cancellation polls. `cancelled` is CancelToken::cancelled(),
