@@ -1,11 +1,11 @@
 #include "src/core/absorption.h"
 
-#include <unordered_map>
-
-#include "src/util/hash.h"
+#include <ranges>
 
 namespace skypref {
 
+// Defined ahead of the scan so the compiler can inline it there: the
+// call sits in the pass's innermost loop.
 bool Absorbs(const Dataset& data, ObjectId target, ObjectId absorber,
              ObjectId absorbed) {
   if (absorber == absorbed) return false;
@@ -18,126 +18,94 @@ bool Absorbs(const Dataset& data, ObjectId target, ObjectId absorber,
   return differs_somewhere;
 }
 
-std::vector<ObjectId> AbsorbCandidates(const Dataset& data, ObjectId target,
-                                       std::span<const ObjectId> candidates,
-                                       AbsorptionStats* stats) {
-  const DimensionId d = static_cast<DimensionId>(data.dimensions());
+ValuePostings::ValuePostings(const Dataset& data) {
+  for (ObjectId id = 0; id < data.size(); ++id) Add(data, id);
+}
 
-  // Posting lists: (dim, value) -> candidate positions using that value.
-  std::unordered_map<std::pair<DimensionId, ValueId>, std::vector<std::size_t>,
-                     PairHash>
-      postings;
-  for (std::size_t pos = 0; pos < candidates.size(); ++pos) {
-    for (DimensionId j = 0; j < d; ++j) {
-      postings[{j, data.value(candidates[pos], j)}].push_back(pos);
-    }
+ValuePostings::ValuePostings(const Dataset& data,
+                             std::span<const ObjectId> candidates) {
+  for (ObjectId id : candidates) Add(data, id);
+}
+
+void ValuePostings::Add(const Dataset& data, ObjectId id) {
+  for (DimensionId j = 0; j < data.dimensions(); ++j) {
+    postings_[{j, data.value(id, j)}].push_back(id);
   }
+}
 
-  std::vector<bool> removed(candidates.size(), false);
-  for (std::size_t pos = 0; pos < candidates.size(); ++pos) {
-    if (removed[pos]) continue;  // absorbed candidates never absorb others
-    const ObjectId absorber = candidates[pos];
+namespace {
 
-    // Gamma = dimensions where the absorber differs from the target; pick
-    // the dimension with the shortest posting list to drive the scan.
-    DimensionId best_dim = d;
-    std::size_t best_size = static_cast<std::size_t>(-1);
+/// Algorithm 3's one pass, scanning \p ids in order: the candidates, and
+/// possibly the target, which starts out removed. \p candidates counts
+/// the candidates among \p ids. \p postings must list every candidate
+/// under each of its values; any other object it lists only costs scan
+/// time, since only candidates absorb and only candidates are reported.
+template <typename Ids>
+std::vector<ObjectId> AbsorbScan(const Dataset& data, ObjectId target,
+                                 const Ids& ids, std::size_t candidates,
+                                 const ValuePostings& postings,
+                                 AbsorptionStats* stats) {
+  const DimensionId d = static_cast<DimensionId>(data.dimensions());
+  std::vector<bool> removed(data.size(), false);
+  removed[target] = true;  // the target is never its own candidate
+
+  for (ObjectId absorber : ids) {
+    if (removed[absorber]) continue;  // absorbed candidates absorb nothing
+
+    // Gamma = dimensions where the absorber differs from the target; the
+    // shortest posting list among them drives the scan, since anything
+    // the absorber absorbs shares its value on every one of them.
+    std::span<const ObjectId> best;
     bool differs_somewhere = false;
     for (DimensionId j = 0; j < d; ++j) {
-      ValueId v = data.value(absorber, j);
+      const ValueId v = data.value(absorber, j);
       if (v == data.value(target, j)) continue;
+      std::span<const ObjectId> list = postings.list(j, v);
+      if (!differs_somewhere || list.size() < best.size()) best = list;
       differs_somewhere = true;
-      auto it = postings.find({j, v});
-      std::size_t size = it == postings.end() ? 0 : it->second.size();
-      if (size < best_size) {
-        best_size = size;
-        best_dim = j;
-      }
     }
     if (!differs_somewhere) {
       // The candidate duplicates the target on all dimensions; it cannot
       // strictly dominate and is dropped outright.
-      removed[pos] = true;
+      removed[absorber] = true;
       continue;
     }
 
-    const auto& list = postings[{best_dim, data.value(absorber, best_dim)}];
-    for (std::size_t other_pos : list) {
-      if (other_pos == pos || removed[other_pos]) continue;
-      if (Absorbs(data, target, absorber, candidates[other_pos])) {
-        removed[other_pos] = true;
-      }
+    for (ObjectId other : best) {
+      if (other == absorber || removed[other]) continue;
+      if (Absorbs(data, target, absorber, other)) removed[other] = true;
     }
   }
 
   std::vector<ObjectId> survivors;
-  survivors.reserve(candidates.size());
-  for (std::size_t pos = 0; pos < candidates.size(); ++pos) {
-    if (!removed[pos]) survivors.push_back(candidates[pos]);
+  survivors.reserve(candidates);
+  for (ObjectId id : ids) {
+    if (!removed[id]) survivors.push_back(id);
   }
   if (stats != nullptr) {
-    stats->input_candidates = candidates.size();
-    stats->absorbed = candidates.size() - survivors.size();
+    stats->input_candidates = candidates;
+    stats->absorbed = candidates - survivors.size();
   }
   return survivors;
 }
 
-ValuePostings::ValuePostings(const Dataset& data) {
-  for (ObjectId id = 0; id < data.size(); ++id) {
-    for (DimensionId j = 0; j < data.dimensions(); ++j) {
-      postings_[{j, data.value(id, j)}].push_back(id);
-    }
-  }
+}  // namespace
+
+std::vector<ObjectId> AbsorbCandidates(const Dataset& data, ObjectId target,
+                                       std::span<const ObjectId> candidates,
+                                       AbsorptionStats* stats) {
+  return AbsorbScan(data, target, candidates, candidates.size(),
+                    ValuePostings(data, candidates), stats);
 }
 
 std::vector<ObjectId> AbsorbAllCandidatesIndexed(const Dataset& data,
                                                  ObjectId target,
                                                  const ValuePostings& postings,
                                                  AbsorptionStats* stats) {
-  const DimensionId d = static_cast<DimensionId>(data.dimensions());
-  const ObjectId n = data.size();
-  std::vector<bool> removed(n, false);
-  removed[target] = true;  // the target is never its own candidate
-
-  // Same pass as AbsorbCandidates; ascending ObjectId order is ascending
-  // candidate-position order for the all-candidates list.
-  for (ObjectId id = 0; id < n; ++id) {
-    if (removed[id]) continue;
-
-    DimensionId best_dim = d;
-    std::size_t best_size = static_cast<std::size_t>(-1);
-    bool differs_somewhere = false;
-    for (DimensionId j = 0; j < d; ++j) {
-      ValueId v = data.value(id, j);
-      if (v == data.value(target, j)) continue;
-      differs_somewhere = true;
-      std::size_t size = postings.list(j, v).size();
-      if (size < best_size) {
-        best_size = size;
-        best_dim = j;
-      }
-    }
-    if (!differs_somewhere) {
-      removed[id] = true;  // duplicates the target; cannot dominate
-      continue;
-    }
-
-    for (ObjectId other : postings.list(best_dim, data.value(id, best_dim))) {
-      if (other == id || removed[other]) continue;
-      if (Absorbs(data, target, id, other)) removed[other] = true;
-    }
-  }
-
-  std::vector<ObjectId> survivors;
-  survivors.reserve(n - 1);
-  for (ObjectId id = 0; id < n; ++id) {
-    if (!removed[id]) survivors.push_back(id);
-  }
-  if (stats != nullptr) {
-    stats->input_candidates = n - 1;
-    stats->absorbed = (n - 1) - survivors.size();
-  }
-  return survivors;
+  // Every object in ascending id order, the target included: it starts
+  // out removed, so it neither absorbs nor survives.
+  return AbsorbScan(data, target, std::views::iota(ObjectId{0}, data.size()),
+                    data.size() - 1, postings, stats);
 }
 
 }  // namespace skypref

@@ -13,6 +13,14 @@
 /// nothing to sky(O) = Pr(no candidate dominates O). Absorption is
 /// transitive (Corollary 1), so one pass in arbitrary order suffices.
 ///
+/// Both entry points below run the same pass (absorption.cc): candidates
+/// in list order, each surviving candidate scanning the shortest posting
+/// list among its differing dimensions for the candidates it absorbs.
+/// They differ only in where the postings come from — built per call over
+/// the candidate list, or shared by every target of an all-objects query.
+/// Under assumption A3 (no duplicate objects) two distinct objects cannot
+/// absorb each other, so the survivor set does not depend on list order.
+///
 /// Complexity: posting lists per (dimension, value) make the scan roughly
 /// O(n d) for the value distributions of the evaluation; the degenerate
 /// worst case (everything collides) is O(n^2 d) like the paper's one-pass
@@ -34,21 +42,16 @@ struct AbsorptionStats {
   std::size_t absorbed = 0;
 };
 
-/// Returns the candidates that survive absorption, in their input order.
-/// Candidates equal to the target on every dimension (duplicates) are
-/// dropped as well — they can never strictly dominate.
-std::vector<ObjectId> AbsorbCandidates(const Dataset& data, ObjectId target,
-                                       std::span<const ObjectId> candidates,
-                                       AbsorptionStats* stats = nullptr);
-
-/// Global posting lists of a dataset: (dimension, value) -> the objects
-/// using that value, in ascending ObjectId order. Built once, then shared
-/// by every target of an all-objects query (the dominance-candidate
-/// adjacency that AbsorbCandidates otherwise rebuilds per call). Immutable
-/// after construction, so concurrent lookups are safe.
+/// Posting lists: (dimension, value) -> the objects using that value.
+/// Immutable after construction, so concurrent lookups are safe.
 class ValuePostings {
  public:
+  /// Every object of \p data, in ascending ObjectId order: built once,
+  /// then shared by every target of an all-objects query.
   explicit ValuePostings(const Dataset& data);
+
+  /// Only \p candidates, in list order.
+  ValuePostings(const Dataset& data, std::span<const ObjectId> candidates);
 
   /// Objects whose value on \p dim is \p value; empty when unused.
   std::span<const ObjectId> list(DimensionId dim, ValueId value) const {
@@ -58,17 +61,26 @@ class ValuePostings {
   }
 
  private:
+  void Add(const Dataset& data, ObjectId id);
+
   std::unordered_map<std::pair<DimensionId, ValueId>, std::vector<ObjectId>,
                      PairHash>
       postings_;
 };
 
-/// AbsorbCandidates over ALL objects except \p target, driven by the
-/// shared \p postings index instead of per-call posting lists. Returns the
-/// identical survivor list (same absorber scan order and tie-breaks): for
-/// every dimension where an absorber differs from the target, the global
-/// posting list equals the candidate-local one because the target's own
-/// value differs and is therefore never listed.
+/// Returns the candidates that survive absorption, in their input order.
+/// Candidates equal to the target on every dimension (duplicates) are
+/// dropped as well — they can never strictly dominate. Builds postings
+/// over \p candidates for the call.
+std::vector<ObjectId> AbsorbCandidates(const Dataset& data, ObjectId target,
+                                       std::span<const ObjectId> candidates,
+                                       AbsorptionStats* stats = nullptr);
+
+/// AbsorbCandidates over ALL objects except \p target, in ascending
+/// ObjectId order, driven by the shared \p postings (ValuePostings(data))
+/// instead of per-call ones: the same pass, so the same survivor list.
+/// A shared list may name objects outside the candidate list (only the
+/// target here), which the pass treats as already removed.
 std::vector<ObjectId> AbsorbAllCandidatesIndexed(const Dataset& data,
                                                  ObjectId target,
                                                  const ValuePostings& postings,

@@ -6,7 +6,7 @@
 
 #include "src/core/dominance.h"
 #include "src/core/monte_carlo.h"
-#include "src/core/sam_parallel.h"
+#include "src/core/sam_bitslice.h"
 #include "src/util/random.h"
 
 namespace skypref {
@@ -47,34 +47,23 @@ Result<AdaptiveResult> AdaptiveMonteCarloSkylineProbability(
 
   Rng seeder(options.seed);
   MonteCarloOptions batch_options;
-  batch_options.engine = options.engine;
   std::uint64_t successes = 0;
   AdaptiveResult result;
   std::uint64_t batch = options.initial_batch;
   std::uint64_t checkpoint = 0;
 
-  const bool sliced = options.engine == MonteCarloOptions::Engine::kBitSliced;
   while (true) {
     ++checkpoint;
-    std::uint64_t draw = std::min(batch, cap - result.samples);
-    if (sliced) {
-      // Whole 64-world mask words only: rounding the batch up (never
-      // down — a zero-world batch would stall the loop) keeps the
-      // bit-sliced engine out of partial-word remainders. This can
-      // overshoot the cap by at most 63 worlds, which only tightens the
-      // Hoeffding certificate.
-      draw = (draw + 63) / 64 * 64;
-    }
-    batch_options.samples = draw;
+    batch_options.samples = std::min(batch, cap - result.samples);
     batch_options.seed = seeder.Fork();
-    // Each checkpoint batch runs through a block-deterministic parallel
-    // engine: worlds fan out over the pool, and the batch's estimate is
-    // bit-identical at every thread count, so the adaptive stopping time
-    // is too.
+    // Each checkpoint batch runs through the block-deterministic
+    // bit-sliced engine: worlds fan out over the pool, and the batch's
+    // estimate is bit-identical at every thread count, so the adaptive
+    // stopping time is too.
     SKYPREF_ASSIGN_OR_RETURN(
         MonteCarloResult mc,
-        PooledMonteCarloSkylineProbability(data, target, candidates, model,
-                                           pool, batch_options));
+        BitSlicedMonteCarloSkylineProbability(data, target, candidates, model,
+                                              pool, batch_options));
     successes += mc.skyline_worlds;
     result.samples += mc.samples;
     result.estimate =

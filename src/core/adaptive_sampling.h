@@ -17,8 +17,9 @@
 /// adaptive stop typically saves an order of magnitude of worlds — the
 /// natural upgrade of Algorithm 2, evaluated in bench_adaptive.
 ///
-/// Each checkpoint batch draws its worlds through the block-deterministic
-/// parallel engine (src/core/sam_parallel.h), so batches fan out over a
+/// Each checkpoint batch draws exactly its worlds through the bit-sliced
+/// engine (src/core/sam_bitslice.h; a batch that is not a multiple of 64
+/// masks its last chunk's spare lanes), so batches fan out over a
 /// caller-supplied ThreadPool; the poolless overloads run the same engine
 /// inline and are bit-identical to the pool overloads at any thread
 /// count.
@@ -33,7 +34,6 @@
 #include <cstdint>
 #include <span>
 
-#include "src/core/monte_carlo.h"
 #include "src/model/dataset.h"
 #include "src/model/preference_model.h"
 #include "src/model/types.h"
@@ -48,13 +48,6 @@ struct AdaptiveOptions {
   std::uint64_t seed = 0xadadadadULL;
   /// First checkpoint; later checkpoints grow geometrically (x1.5).
   std::uint64_t initial_batch = 128;
-  /// Which parallel engine draws each checkpoint batch: kBlock (the
-  /// scalar block engine, the historical default — existing streams are
-  /// unchanged) or kBitSliced (64 worlds per word; batch sizes are then
-  /// rounded UP to multiples of 64 so no batch ends mid-word, which may
-  /// overshoot the Hoeffding cap by at most 63 worlds). kSerial is
-  /// treated as kBlock.
-  MonteCarloOptions::Engine engine = MonteCarloOptions::Engine::kBlock;
 };
 
 struct AdaptiveResult {

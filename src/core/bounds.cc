@@ -31,18 +31,7 @@ std::uint64_t LevelTermCount(std::size_t n, std::size_t k) {
 Result<SkylineBounds> BoundedSkylineProbability(
     const Dataset& data, ObjectId target, std::span<const ObjectId> candidates,
     const PreferenceModel& model, const BoundsOptions& options) {
-  if (target >= data.size()) {
-    return Status::OutOfRange("target object out of range");
-  }
-  for (ObjectId id : candidates) {
-    if (id >= data.size()) {
-      return Status::OutOfRange("candidate object out of range");
-    }
-    if (id == target) {
-      return Status::InvalidArgument(
-          "candidate list must not contain the target object");
-    }
-  }
+  SKYPREF_RETURN_IF_ERROR(ValidateCandidates(data.size(), target, candidates));
 
   SkylineBounds bounds;
   const std::size_t n = candidates.size();
@@ -144,7 +133,7 @@ Result<bool> DecideThreshold(const Dataset& data, ObjectId target,
                              const BoundsOptions& options,
                              bool* used_exact_fallback) {
   if (used_exact_fallback != nullptr) *used_exact_fallback = false;
-  if (tau < 0.0 || tau > 1.0) {
+  if (!(tau >= 0.0 && tau <= 1.0)) {  // written so that NaN fails too
     return Status::InvalidArgument("threshold must lie in [0,1]");
   }
   if (target >= data.size()) {

@@ -21,6 +21,7 @@
 #include <span>
 #include <vector>
 
+#include "src/core/dominance.h"
 #include "src/core/oracles.h"
 #include "src/model/dataset.h"
 #include "src/model/preference_model.h"
@@ -148,18 +149,7 @@ Result<typename Oracle::NumType> BruteForceSkylineProbability(
     const Dataset& data, ObjectId target, std::span<const ObjectId> candidates,
     const Oracle& oracle, const BruteForceOptions& options = {},
     BruteForceStats* stats = nullptr) {
-  if (target >= data.size()) {
-    return Status::OutOfRange("target object out of range");
-  }
-  for (ObjectId id : candidates) {
-    if (id >= data.size()) {
-      return Status::OutOfRange("candidate object out of range");
-    }
-    if (id == target) {
-      return Status::InvalidArgument(
-          "candidate list must not contain the target object");
-    }
-  }
+  SKYPREF_RETURN_IF_ERROR(ValidateCandidates(data.size(), target, candidates));
   internal::BruteForceEngine<Oracle> engine(data, target, candidates, oracle,
                                             options);
   return engine.Run(stats);

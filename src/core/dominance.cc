@@ -1,5 +1,7 @@
 #include "src/core/dominance.h"
 
+#include <string>
+
 namespace skypref {
 
 double DominanceProbability(const Dataset& data, ObjectId candidate,
@@ -14,6 +16,25 @@ std::vector<ObjectId> AllObjectsExcept(std::size_t n, ObjectId target) {
     if (id != target) candidates.push_back(id);
   }
   return candidates;
+}
+
+Status ValidateCandidates(std::size_t n, ObjectId target,
+                          std::span<const ObjectId> candidates) {
+  if (target >= n) {
+    return Status::OutOfRange("target object " + std::to_string(target) +
+                              " out of range (n=" + std::to_string(n) + ")");
+  }
+  for (ObjectId id : candidates) {
+    if (id >= n) {
+      return Status::OutOfRange("candidate object " + std::to_string(id) +
+                                " out of range");
+    }
+    if (id == target) {
+      return Status::InvalidArgument(
+          "candidate list must not contain the target object");
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace skypref

@@ -20,6 +20,7 @@
 #include "src/model/dataset.h"
 #include "src/model/preference_model.h"
 #include "src/model/types.h"
+#include "src/util/status.h"
 
 namespace skypref {
 
@@ -48,6 +49,12 @@ double DominanceProbability(const Dataset& data, ObjectId candidate,
 /// Every object id in [0, n) except \p target, ascending: the full
 /// candidate set of a single-target query before preprocessing.
 std::vector<ObjectId> AllObjectsExcept(std::size_t n, ObjectId target);
+
+/// The input check of every single-target solver over an explicit
+/// candidate list: OutOfRange unless \p target < n and every candidate
+/// is < n; InvalidArgument when a candidate is the target itself.
+Status ValidateCandidates(std::size_t n, ObjectId target,
+                          std::span<const ObjectId> candidates);
 
 }  // namespace skypref
 

@@ -55,6 +55,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/core/dominance.h"
 #include "src/core/oracles.h"
 #include "src/model/dataset.h"
 #include "src/model/preference_model.h"
@@ -349,37 +350,13 @@ class FlatExactEngine {
   Status status_;
 };
 
-template <typename Oracle>
-Status ValidateExactInputs(const Dataset& data, ObjectId target,
-                           std::span<const ObjectId> candidates,
-                           const Oracle& /*oracle*/) {
-  if (target >= data.size()) {
-    return Status::OutOfRange("target object " + std::to_string(target) +
-                              " out of range (n=" + std::to_string(data.size()) +
-                              ")");
-  }
-  for (ObjectId id : candidates) {
-    if (id >= data.size()) {
-      return Status::OutOfRange("candidate object " + std::to_string(id) +
-                                " out of range");
-    }
-    if (id == target) {
-      return Status::InvalidArgument(
-          "candidate list must not contain the target object");
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace internal
 
 template <typename Oracle>
 Result<typename Oracle::NumType> ExactSkylineProbability(
     const Dataset& data, ObjectId target, std::span<const ObjectId> candidates,
     const Oracle& oracle, const ExactOptions& options, ExactStats* stats) {
-  Status valid = internal::ValidateExactInputs(data, target, candidates,
-                                               oracle);
-  if (!valid.ok()) return valid;
+  SKYPREF_RETURN_IF_ERROR(ValidateCandidates(data.size(), target, candidates));
   // The flattened instance is the solve's one big allocation; through
   // TryAlloc its failure is ResourceExhausted, which degrades through
   // the resilient ladder like a blown budget instead of terminating.

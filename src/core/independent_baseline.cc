@@ -9,18 +9,9 @@ namespace skypref {
 Result<double> IndependentSkylineProbability(
     const Dataset& data, ObjectId target, std::span<const ObjectId> candidates,
     const PreferenceModel& model) {
-  if (target >= data.size()) {
-    return Status::OutOfRange("target object out of range");
-  }
+  SKYPREF_RETURN_IF_ERROR(ValidateCandidates(data.size(), target, candidates));
   double product = 1.0;
   for (ObjectId id : candidates) {
-    if (id >= data.size()) {
-      return Status::OutOfRange("candidate object out of range");
-    }
-    if (id == target) {
-      return Status::InvalidArgument(
-          "candidate list must not contain the target object");
-    }
     product *= 1.0 - DominanceProbability(data, id, target, model);
     // Exact-zero short-circuit: once the product underflows to 0 it can
     // never recover (all factors are in [0,1]).

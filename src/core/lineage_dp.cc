@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/core/dominance.h"
 #include "src/core/exact.h"
 #include "src/core/solver.h"
 #include "src/util/hash.h"
@@ -103,22 +104,11 @@ Result<double> LineageExactSkylineProbability(
     const Dataset& data, ObjectId target, std::span<const ObjectId> candidates,
     const PreferenceModel& model, const LineageDpOptions& options,
     LineageDpStats* stats) {
-  if (target >= data.size()) {
-    return Status::OutOfRange("target object out of range");
-  }
+  SKYPREF_RETURN_IF_ERROR(ValidateCandidates(data.size(), target, candidates));
   if (candidates.size() > 64) {
     return Status::ResourceExhausted(
         "lineage DP supports at most 64 candidates per call; run "
         "absorption + partition first");
-  }
-  for (ObjectId id : candidates) {
-    if (id >= data.size()) {
-      return Status::OutOfRange("candidate object out of range");
-    }
-    if (id == target) {
-      return Status::InvalidArgument(
-          "candidate list must not contain the target object");
-    }
   }
 
   // The distinct variables are the flattened instance's pairs; each

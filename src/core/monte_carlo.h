@@ -40,9 +40,12 @@
 ///    contract as kBlock (its own stream, so estimates differ from
 ///    kBlock's but are equally deterministic).
 ///
-/// The all-objects estimator BatchMonteCarloSkylineProbabilities
-/// (sam_parallel.h) is not one of these engines: it always runs the
-/// bit-sliced walk, sharing each sampled world across ALL targets.
+/// Only SkylineSolver::MonteCarlo reads MonteCarloOptions::engine; every
+/// other caller names its engine. Adaptive sampling and the resilient
+/// ladder's sampled rung always run kBitSliced, and the all-objects
+/// estimator BatchMonteCarloSkylineProbabilities (sam_parallel.h) always
+/// runs the bit-sliced walk, sharing each sampled world across ALL
+/// targets.
 
 #include <cstdint>
 #include <span>
@@ -98,11 +101,11 @@ struct MonteCarloOptions {
   /// owned; nullptr = not cancellable.
   const CancelToken* cancel = nullptr;
 
-  /// Which engine draws the worlds. Estimates are NOT bit-identical
-  /// between engines (each defines its own stream); each engine is
-  /// individually deterministic per seed, and the pooled ones are
-  /// additionally bit-identical for every thread count of their pool.
-  /// Batch Sam ignores it (always bit-sliced).
+  /// Which engine SkylineSolver::MonteCarlo runs; no other function
+  /// reads it. Estimates are NOT bit-identical between engines (each
+  /// defines its own stream); each engine is individually deterministic
+  /// per seed, and the pooled ones are additionally bit-identical for
+  /// every thread count of their pool.
   enum class Engine : std::uint8_t {
     kSerial,    ///< single-stream loop in this file (Algorithm 2 verbatim)
     kBlock,     ///< block-deterministic parallel engine (sam_parallel.h)

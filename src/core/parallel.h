@@ -22,10 +22,11 @@
 ///    result is bit-identical for every thread count, including an
 ///    inline 0-thread pool. The task count is part of the numeric
 ///    contract.
-///  * Sam — not here: PooledMonteCarloSkylineProbability (sam_parallel.h)
-///    runs the block-deterministic engines, whose fixed-size world
-///    blocks are seeded from the BLOCK INDEX and reduced in block order,
-///    so estimates are bit-identical for every thread count.
+///  * Sam — not here: the block-deterministic engines
+///    (BlockMonteCarloSkylineProbability, sam_parallel.h, and
+///    BitSlicedMonteCarloSkylineProbability, sam_bitslice.h) seed their
+///    fixed-size world blocks from the BLOCK INDEX and reduce them in
+///    block order, so estimates are bit-identical for every thread count.
 ///  * all-objects queries — also not here: batch Sam
 ///    (BatchMonteCarloSkylineProbabilities, sam_parallel.h) samples one
 ///    stream of shared worlds under the same block contract, and

@@ -8,7 +8,8 @@
 #include "src/core/exact.h"
 #include "src/core/monte_carlo.h"
 #include "src/core/oracles.h"
-#include "src/core/sam_parallel.h"
+#include "src/core/sam_bitslice.h"
+#include "src/util/cancel.h"
 #include "src/util/check.h"
 #include "src/util/random.h"
 
@@ -55,12 +56,13 @@ std::vector<ExactAttempt> RunExactRung(
   return attempts;
 }
 
-// Rung 2 for one exhausted group. Runs the block-deterministic parallel
-// engine: a group reaches this rung precisely because it is too big for
-// Det+, so its world blocks fan out over the pool — and the estimate is
-// bit-identical at every thread count, preserving the ladder's
-// determinism contract. Returns an error only for cancellation; deadline
-// truncation keeps the partial estimate at its widened Hoeffding bar.
+// Rung 2 for one exhausted group. Runs the bit-sliced engine: a group
+// reaches this rung precisely because it is too big for Det+, so its
+// world blocks fan out over the pool — and the estimate is bit-identical
+// at every thread count, preserving the ladder's determinism contract.
+// Returns an error for cancellation and for options the engine rejects
+// (the caller then falls to rung 3); deadline truncation keeps the
+// partial estimate at its widened Hoeffding bar.
 Result<GroupReport> RunSampledRung(const Dataset& data, ObjectId target,
                                    const std::vector<ObjectId>& group,
                                    const PreferenceModel& model,
@@ -68,8 +70,8 @@ Result<GroupReport> RunSampledRung(const Dataset& data, ObjectId target,
                                    ThreadPool& pool, SolveStats& stats) {
   SKYPREF_ASSIGN_OR_RETURN(
       MonteCarloResult mc,
-      PooledMonteCarloSkylineProbability(data, target, group, model, pool,
-                                         mc_options));
+      BitSlicedMonteCarloSkylineProbability(data, target, group, model, pool,
+                                            mc_options));
   stats.samples_drawn += mc.samples;
   stats.pair_draws += mc.pair_draws;
   GroupReport report;
@@ -129,8 +131,7 @@ Result<ResilientResult> ResilientSkylineProbability(
   if (target >= data.size()) {
     return Status::OutOfRange("target object out of range");
   }
-  const CancelToken* cancel =
-      options.cancel != nullptr ? options.cancel : options.solver.exact.cancel;
+  const CancelToken* cancel = options.solver.exact.cancel;
   if (cancel != nullptr && cancel->cancelled()) return CancelledStatus();
 
   // ONE deadline governs every rung of this query.
@@ -143,7 +144,6 @@ Result<ResilientResult> ResilientSkylineProbability(
   // Rung 1: exact attempt on every group under the shared budget.
   ExactOptions exact_options = options.solver.exact;
   exact_options.deadline = deadline;
-  exact_options.cancel = cancel;
   std::vector<ExactAttempt> attempts =
       RunExactRung(data, target, groups, model, exact_options, pool);
 
@@ -164,7 +164,7 @@ Result<ResilientResult> ResilientSkylineProbability(
   // Rungs 2 and 3, in partition order so the forked seeds (and therefore
   // the estimates) are deterministic given the exhaustion set. Each
   // sampled rung internally fans its world blocks out over the pool; the
-  // block engine keeps the estimate bit-identical per thread count.
+  // engine keeps the estimate bit-identical per thread count.
   MonteCarloOptions mc_options = options.solver.monte_carlo;
   if (exhausted > 0) {
     if (mc_options.samples == 0) {

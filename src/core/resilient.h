@@ -22,13 +22,17 @@
 /// Ladder per independence group, under ONE shared query deadline:
 ///
 ///   rung 1  Det   — the exact engine with the caller's subset budget.
-///   rung 2  Sam   — for groups whose exact solve exhausted: Monte-Carlo
-///                   with the (epsilon, delta) budget split evenly over
-///                   the exhausted groups. A deadline-truncated sample
+///   rung 2  Sam   — for groups whose exact solve exhausted: the
+///                   bit-sliced engine (sam_bitslice.h, whatever
+///                   solver.monte_carlo.engine says) with the
+///                   (epsilon, delta) budget split evenly over the
+///                   exhausted groups. A deadline-truncated sample
 ///                   keeps its partial estimate at the widened
 ///                   HoeffdingEpsilon(achieved_samples, delta) bar.
 ///   rung 3  bounds — when the deadline is already spent (or Sam cannot
-///                   run): the certified Bonferroni interval of
+///                   run, e.g. for a solver.monte_carlo.block_size that
+///                   is not a multiple of 64): the certified Bonferroni
+///                   interval of
 ///                   bounds.h, whose midpoint enters the product and
 ///                   whose half-width enters the error bar. Level 0
 ///                   ([0, 1]) always exists, so this rung cannot fail.
@@ -40,16 +44,15 @@
 /// options, at every thread count of the pool — the ladder costs
 /// nothing until the moment it is needed.
 ///
-/// Cancellation (ResilientOptions::cancel) is different from exhaustion:
-/// it means the answer is no longer wanted, aborts the whole ladder, and
-/// returns Status::Cancelled.
+/// Cancellation (solver.exact.cancel, which every rung polls) is
+/// different from exhaustion: it means the answer is no longer wanted,
+/// aborts the whole ladder, and returns Status::Cancelled.
 
 #include <cstdint>
 #include <vector>
 
 #include "src/core/bounds.h"
 #include "src/core/solver.h"
-#include "src/util/cancel.h"
 #include "src/util/status.h"
 #include "src/util/thread_pool.h"
 
@@ -112,17 +115,15 @@ struct ResilientResult {
 };
 
 struct ResilientOptions {
-  /// Preprocessing toggle and the rung-1 exact budget (solver.exact) and
-  /// rung-2 sampling budget (solver.monte_carlo: epsilon and delta are
-  /// the TOTAL fallback budget, split evenly over the groups that
-  /// exhaust; seed forks per sampled group).
+  /// Preprocessing toggle and the rung-1 exact budget (solver.exact,
+  /// whose cancel token cancels every rung) and rung-2 sampling budget
+  /// (solver.monte_carlo: epsilon and delta are the TOTAL fallback
+  /// budget, split evenly over the groups that exhaust; seed forks per
+  /// sampled group; its engine and cancel fields are not read).
   SolverOptions solver;
   /// Rung 3: the certified-interval budget. The defaults keep the rung
   /// cheap — level <= 2 costs at most |group|^2 / 2 terms.
   BoundsOptions bounds = {.max_level = 2, .term_budget = 1u << 16};
-  /// Cancels the whole ladder (all rungs poll it). Overrides
-  /// solver.exact.cancel / solver.monte_carlo.cancel when set.
-  const CancelToken* cancel = nullptr;
 };
 
 /// The ladder over \p pool: group exact solves are dispatched

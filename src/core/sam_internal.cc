@@ -14,10 +14,6 @@
 namespace skypref {
 namespace internal {
 
-namespace {
-
-/// The sample count, block-size rule, deadline and pre-cancel check that
-/// the single-target and batch front ends share.
 Status ResolveSampling(const MonteCarloOptions& options,
                        MonteCarloOptions::Engine engine,
                        std::uint64_t& samples, Deadline& deadline) {
@@ -58,6 +54,8 @@ Status ResolveSampling(const MonteCarloOptions& options,
   }
   return Status::OK();
 }
+
+namespace {
 
 /// Interns value-pair keys as dense ids 0, 1, 2, ... in first-seen
 /// order. Open addressing with linear probing over 4-byte id slots, each
@@ -109,18 +107,7 @@ Result<SamRequest> PrepareSamRequest(const Dataset& data, ObjectId target,
                                      const PreferenceModel& model,
                                      const MonteCarloOptions& options,
                                      MonteCarloOptions::Engine engine) {
-  if (target >= data.size()) {
-    return Status::OutOfRange("target object out of range");
-  }
-  for (ObjectId id : candidates) {
-    if (id >= data.size()) {
-      return Status::OutOfRange("candidate object out of range");
-    }
-    if (id == target) {
-      return Status::InvalidArgument(
-          "candidate list must not contain the target object");
-    }
-  }
+  SKYPREF_RETURN_IF_ERROR(ValidateCandidates(data.size(), target, candidates));
   SamRequest request;
   SKYPREF_RETURN_IF_ERROR(
       ResolveSampling(options, engine, request.samples, request.deadline));

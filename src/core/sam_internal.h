@@ -56,15 +56,22 @@ struct SamRequest {
   Deadline deadline;               // one deadline for the whole estimate
 };
 
+/// The option rule every Sam engine applies, under \p engine's name: the
+/// sample count and the engine's block-size rule (InvalidArgument: a
+/// derived count needs finite epsilon and delta; kBlock needs
+/// block_size >= 1, kBitSliced a positive multiple of 64, and both a
+/// finite count — a count saturated at UINT64_MAX only the kSerial loop
+/// can run, and only when a deadline or time limit stops it), then the
+/// deadline and the pre-cancel check (Cancelled). Sets \p samples and
+/// \p deadline. Shared by both front ends below and by Sam+'s facade,
+/// which checks a query once even when no group needs sampling.
+Status ResolveSampling(const MonteCarloOptions& options,
+                       MonteCarloOptions::Engine engine,
+                       std::uint64_t& samples, Deadline& deadline);
+
 /// The front end of the three single-target engines, each naming itself
-/// as \p engine. In order: target and candidate checks (OutOfRange;
-/// InvalidArgument for the target itself), the sample count and the
-/// engine's block-size rule (InvalidArgument: a derived count needs
-/// finite epsilon and delta; kBlock needs block_size >= 1, kBitSliced a
-/// positive multiple of 64, and both a finite count — a count saturated
-/// at UINT64_MAX only the kSerial loop can run, and only when a deadline
-/// or time limit stops it), the deadline, the pre-cancel check
-/// (Cancelled), then the dominance-sorted checking sequence.
+/// as \p engine: ValidateCandidates (dominance.h), ResolveSampling, then
+/// the dominance-sorted checking sequence.
 Result<SamRequest> PrepareSamRequest(const Dataset& data, ObjectId target,
                                      std::span<const ObjectId> candidates,
                                      const PreferenceModel& model,
@@ -252,9 +259,8 @@ struct BatchSamRun {
   BatchSamStats stats;  // preprocessing fields and requested_samples
 };
 
-/// The front end of batch Sam: data and model validation, the checks of
-/// PrepareSamRequest from the sample count on under kBitSliced's rules,
-/// then the plan — Phase A over \p pool (PartitionAllTargets, honoring
+/// The front end of batch Sam: data and model validation,
+/// ResolveSampling under kBitSliced's rules, then the plan — Phase A over \p pool (PartitionAllTargets, honoring
 /// options.preprocess) and BuildBatchPlan.
 Result<BatchSamRun> PrepareBatchSam(const Dataset& data,
                                     const PreferenceModel& model,

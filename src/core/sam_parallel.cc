@@ -3,7 +3,6 @@
 #include <cstddef>
 
 #include "src/core/dominance.h"
-#include "src/core/sam_bitslice.h"
 #include "src/core/sam_internal.h"
 #include "src/util/random.h"
 #include "src/util/try_alloc.h"
@@ -45,18 +44,6 @@ Result<MonteCarloResult> BlockMonteCarloSkylineProbability(
   return BlockMonteCarloSkylineProbability(
       data, target, AllObjectsExcept(data.size(), target), model, pool,
       options);
-}
-
-Result<MonteCarloResult> PooledMonteCarloSkylineProbability(
-    const Dataset& data, ObjectId target, std::span<const ObjectId> candidates,
-    const PreferenceModel& model, ThreadPool& pool,
-    const MonteCarloOptions& options) {
-  if (options.engine == MonteCarloOptions::Engine::kBitSliced) {
-    return BitSlicedMonteCarloSkylineProbability(data, target, candidates,
-                                                 model, pool, options);
-  }
-  return BlockMonteCarloSkylineProbability(data, target, candidates, model,
-                                           pool, options);
 }
 
 }  // namespace skypref

@@ -100,17 +100,6 @@ Result<MonteCarloResult> BlockMonteCarloSkylineProbability(
     const Dataset& data, ObjectId target, const PreferenceModel& model,
     ThreadPool& pool, const MonteCarloOptions& options = {});
 
-/// Sam over \p pool through the pooled engine options.engine selects:
-/// kBitSliced runs BitSlicedMonteCarloSkylineProbability (sam_bitslice.h),
-/// any other value runs BlockMonteCarloSkylineProbability. The one place
-/// that maps the engine enum onto a pooled engine — the solver facade,
-/// the resilient ladder and adaptive sampling all go through it; the
-/// kSerial engine takes no pool (MonteCarloSkylineProbability).
-Result<MonteCarloResult> PooledMonteCarloSkylineProbability(
-    const Dataset& data, ObjectId target, std::span<const ObjectId> candidates,
-    const PreferenceModel& model, ThreadPool& pool,
-    const MonteCarloOptions& options = {});
-
 /// Diagnostics of one batch all-objects estimation.
 struct BatchSamStats : BatchPreprocessStats {
   /// Distinct ternary (dim, value-pair) orientation variables interned —

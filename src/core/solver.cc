@@ -12,7 +12,10 @@
 
 #include "src/core/absorption.h"
 #include "src/core/dominance.h"
+#include "src/core/independent_baseline.h"
 #include "src/core/partition.h"
+#include "src/core/sam_bitslice.h"
+#include "src/core/sam_internal.h"
 #include "src/core/sam_parallel.h"
 #include "src/util/cancel.h"
 #include "src/util/check.h"
@@ -25,25 +28,55 @@ namespace skypref {
 
 namespace {
 
-/// One Sam solve through the configured engine. The kSerial engine never
-/// touches the pool; the pooled engines fan out over \p pool, or an
-/// inline pool when the caller has none (bit-identical either way).
+/// One Sam solve through the engine options.engine names — the library's
+/// one switch on it. The kSerial engine never touches the pool; the
+/// pooled engines fan out over \p pool, or an inline pool when the
+/// caller has none (bit-identical either way).
 Result<MonteCarloResult> RunSamEngine(const Dataset& data, ObjectId target,
                                       std::span<const ObjectId> candidates,
                                       const PreferenceModel& model,
                                       ThreadPool* pool,
                                       const MonteCarloOptions& options) {
-  if (options.engine == MonteCarloOptions::Engine::kSerial) {
+  using Engine = MonteCarloOptions::Engine;
+  if (options.engine == Engine::kSerial) {
     return MonteCarloSkylineProbability(data, target, candidates, model,
                                         options);
   }
-  if (pool != nullptr) {
-    return PooledMonteCarloSkylineProbability(data, target, candidates, model,
-                                              *pool, options);
+  if (pool == nullptr) {
+    ThreadPool inline_pool(0);
+    return RunSamEngine(data, target, candidates, model, &inline_pool,
+                        options);
   }
-  ThreadPool inline_pool(0);
-  return PooledMonteCarloSkylineProbability(data, target, candidates, model,
-                                            inline_pool, options);
+  if (options.engine == Engine::kBlock) {
+    return BlockMonteCarloSkylineProbability(data, target, candidates, model,
+                                             *pool, options);
+  }
+  return BitSlicedMonteCarloSkylineProbability(data, target, candidates,
+                                               model, *pool, options);
+}
+
+/// Target t's exact value: the product of its groups' solves (Theorem 4),
+/// adding the subsets visited to \p visited. Det+ and batch Det+'s Phase C
+/// solve through the model's or the shared cache's oracle, the retry pass
+/// through the plain oracle.
+template <typename Oracle>
+Result<double> SolveTargetGroups(const Dataset& data, ObjectId t,
+                                 const internal::TargetGroups& groups,
+                                 const Oracle& oracle,
+                                 const ExactOptions& exact,
+                                 std::uint64_t* visited) {
+  double product = 1.0;
+  for (const auto& group : groups) {
+    ExactStats exact_stats;
+    auto result = ExactSkylineProbability(
+        data, t, std::span<const ObjectId>(group), oracle, exact, &exact_stats);
+    *visited += exact_stats.subsets_visited;
+    SKYPREF_RETURN_IF_ERROR(result.status());
+    SKYPREF_DCHECK_PROB(result.value());
+    product *= result.value();
+  }
+  SKYPREF_DCHECK_PROB(product);
+  return ClampProbability(product);
 }
 
 }  // namespace
@@ -94,22 +127,14 @@ Result<double> SkylineSolver::Exact(ObjectId target,
   ExactOptions exact = options.exact;
   exact.deadline = internal::ResolveDeadline(exact);
   SolveStats local;
-  DoubleOracle oracle(*model_);
-  double result = 1.0;
-  for (const auto& group :
-       CandidateGroups(*data_, target, options.preprocess, &local)) {
-    ExactStats exact_stats;
-    SKYPREF_ASSIGN_OR_RETURN(
-        double group_prob,
-        ExactSkylineProbability(*data_, target, group, oracle, exact,
-                                &exact_stats));
-    local.subsets_visited += exact_stats.subsets_visited;
-    SKYPREF_DCHECK_PROB(group_prob);
-    result *= group_prob;
-  }
+  SKYPREF_ASSIGN_OR_RETURN(
+      double result,
+      SolveTargetGroups(*data_, target,
+                        CandidateGroups(*data_, target, options.preprocess,
+                                        &local),
+                        DoubleOracle(*model_), exact, &local.subsets_visited));
   if (stats != nullptr) *stats = local;
-  SKYPREF_DCHECK_PROB(result);
-  return ClampProbability(result);
+  return result;
 }
 
 Result<double> SkylineSolver::MonteCarlo(ObjectId target,
@@ -132,9 +157,15 @@ Result<double> SkylineSolver::MonteCarloImpl(ObjectId target,
   if (target >= data_->size()) {
     return Status::OutOfRange("target object out of range");
   }
-  // ONE deadline for the whole query, as in Exact: every sampled group
+  // The engines' own option rule, checked once for the whole query: a
+  // query whose groups are all singletons (answered in closed form below)
+  // rejects the same options as one that samples. It also resolves ONE
+  // deadline for the whole query, as in Exact: every sampled group
   // truncates against it.
-  const Deadline deadline = internal::ResolveDeadline(options.monte_carlo);
+  std::uint64_t samples = 0;
+  Deadline deadline;
+  SKYPREF_RETURN_IF_ERROR(internal::ResolveSampling(
+      options.monte_carlo, options.monte_carlo.engine, samples, deadline));
   SolveStats local;
   std::vector<std::vector<ObjectId>> groups =
       CandidateGroups(*data_, target, options.preprocess, &local);
@@ -179,16 +210,7 @@ Result<double> SkylineSolver::MonteCarloImpl(ObjectId target,
 }
 
 Result<double> SkylineSolver::Independent(ObjectId target) const {
-  if (target >= data_->size()) {
-    return Status::OutOfRange("target object out of range");
-  }
-  double product = 1.0;
-  for (ObjectId id = 0; id < data_->size(); ++id) {
-    if (id == target) continue;
-    product *= 1.0 - DominanceProbability(*data_, id, target, *model_);
-  }
-  SKYPREF_DCHECK_PROB(product);
-  return ClampProbability(product);
+  return IndependentSkylineProbability(*data_, target, *model_);
 }
 
 namespace internal {
@@ -301,29 +323,6 @@ bool TransientFailure(const Status& status) {
   const std::string& message = status.message();
   return message.find("subset budget") == std::string::npos &&
          message.find("time limit") == std::string::npos;
-}
-
-/// Target t's exact value: the product of its groups' solves (Theorem 4),
-/// adding the subsets visited to \p visited. Phase C solves through the
-/// shared cache, the retry pass through the plain oracle.
-template <typename Oracle>
-Result<double> SolveTargetGroups(const Dataset& data, ObjectId t,
-                                 const internal::TargetGroups& groups,
-                                 const Oracle& oracle,
-                                 const ExactOptions& exact,
-                                 std::uint64_t* visited) {
-  double product = 1.0;
-  for (const auto& group : groups) {
-    ExactStats exact_stats;
-    auto result = ExactSkylineProbability(
-        data, t, std::span<const ObjectId>(group), oracle, exact, &exact_stats);
-    *visited += exact_stats.subsets_visited;
-    SKYPREF_RETURN_IF_ERROR(result.status());
-    SKYPREF_DCHECK_PROB(result.value());
-    product *= result.value();
-  }
-  SKYPREF_DCHECK_PROB(product);
-  return ClampProbability(product);
 }
 
 }  // namespace

@@ -84,14 +84,15 @@ class SkylineSolver {
   /// options.monte_carlo.engine; the pooled engines run over an inline
   /// pool here (bit-identical to the pool overload at any thread count).
   /// As in Exact, one deadline bounds the whole query; a group it stops
-  /// keeps its truncated estimate.
+  /// keeps its truncated estimate. options.monte_carlo must pass the
+  /// engine's option rule even when no group needs sampling.
   Result<double> MonteCarlo(ObjectId target, const SolverOptions& options = {},
                             SolveStats* stats = nullptr) const;
 
-  /// Sam / Sam+ over \p pool: with the kBlock engine the per-group world
-  /// blocks fan out across the pool's workers; estimates stay
-  /// bit-identical to the poolless overload at every thread count (the
-  /// kSerial engine ignores the pool entirely).
+  /// Sam / Sam+ over \p pool: with a pooled engine (kBlock, kBitSliced)
+  /// the per-group world blocks fan out across the pool's workers;
+  /// estimates stay bit-identical to the poolless overload at every
+  /// thread count (the kSerial engine ignores the pool entirely).
   Result<double> MonteCarlo(ObjectId target, const SolverOptions& options,
                             ThreadPool& pool,
                             SolveStats* stats = nullptr) const;
@@ -107,7 +108,7 @@ class SkylineSolver {
       : data_(&data), model_(&model) {}
 
   /// Shared Sam body; \p pool is null for the poolless overload (the
-  /// kBlock engine then runs inline).
+  /// pooled engines then run inline).
   Result<double> MonteCarloImpl(ObjectId target, const SolverOptions& options,
                                 ThreadPool* pool, SolveStats* stats) const;
 

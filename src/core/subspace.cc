@@ -74,7 +74,10 @@ Result<double> SubspaceSkylineProbability(const Dataset& data,
   for (ObjectId id = 1; id < projected.size(); ++id) candidates.push_back(id);
 
   // Det+ on the projected instance. Coinciding candidate projections are
-  // deduplicated by absorption (identical rows absorb one another).
+  // deduplicated by absorption (identical rows absorb one another). ONE
+  // deadline bounds every group solve, as in SkylineSolver::Exact.
+  ExactOptions exact = options;
+  exact.deadline = internal::ResolveDeadline(options);
   ProjectedPreferenceModel projected_model(model, dims);
   candidates = AbsorbCandidates(projected, 0, candidates);
   DoubleOracle oracle(projected_model);
@@ -82,7 +85,7 @@ Result<double> SubspaceSkylineProbability(const Dataset& data,
   for (const auto& group : PartitionCandidates(projected, 0, candidates)) {
     SKYPREF_ASSIGN_OR_RETURN(
         double survival,
-        ExactSkylineProbability(projected, 0, group, oracle, options));
+        ExactSkylineProbability(projected, 0, group, oracle, exact));
     product *= survival;
   }
   return product;

@@ -35,7 +35,10 @@ namespace skypref {
 using SubspaceMask = std::uint32_t;
 
 /// Exact sky of \p target within subspace \p mask (Det+ machinery:
-/// absorption + partition run on the projected instance).
+/// absorption + partition run on the projected instance). As in
+/// SkylineSolver::Exact, options.time_limit_seconds bounds the whole call
+/// (one deadline shared by every group solve), while options.max_subsets
+/// still bounds each group solve.
 Result<double> SubspaceSkylineProbability(const Dataset& data,
                                           ObjectId target, SubspaceMask mask,
                                           const PreferenceModel& model,
@@ -50,7 +53,8 @@ struct SkycubeCell {
 
 /// sky_S(target) for every non-empty subspace S, ordered by (popcount,
 /// mask). Requires d <= 20 (2^d - 1 cells). Cost: one Det+ solve per
-/// cell; budget via \p options applies per cell.
+/// cell; budget via \p options applies per cell (the time limit to the
+/// whole cell, the subset budget to each group of it).
 Result<std::vector<SkycubeCell>> ProbabilisticSkycube(
     const Dataset& data, ObjectId target, const PreferenceModel& model,
     const ExactOptions& options = {});

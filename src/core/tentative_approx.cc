@@ -14,16 +14,10 @@ Result<double> ApproxTopObjects(const Dataset& data, ObjectId target,
                                 std::span<const ObjectId> candidates,
                                 const PreferenceModel& model,
                                 std::size_t top_t) {
-  if (target >= data.size()) {
-    return Status::OutOfRange("target object out of range");
-  }
+  SKYPREF_RETURN_IF_ERROR(ValidateCandidates(data.size(), target, candidates));
   std::vector<std::pair<double, ObjectId>> keyed;
   keyed.reserve(candidates.size());
   for (ObjectId id : candidates) {
-    if (id == target) {
-      return Status::InvalidArgument(
-          "candidate list must not contain the target object");
-    }
     keyed.emplace_back(DominanceProbability(data, id, target, model), id);
   }
   std::stable_sort(keyed.begin(), keyed.end(),
@@ -39,15 +33,7 @@ Result<double> ApproxTopObjects(const Dataset& data, ObjectId target,
 Result<PartialTermsResult> ApproxPartialTerms(
     const Dataset& data, ObjectId target, std::span<const ObjectId> candidates,
     const PreferenceModel& model, std::uint64_t term_budget) {
-  if (target >= data.size()) {
-    return Status::OutOfRange("target object out of range");
-  }
-  for (ObjectId id : candidates) {
-    if (id == target) {
-      return Status::InvalidArgument(
-          "candidate list must not contain the target object");
-    }
-  }
+  SKYPREF_RETURN_IF_ERROR(ValidateCandidates(data.size(), target, candidates));
   if (term_budget == 0) {
     return Status::InvalidArgument("term budget must be positive");
   }

@@ -1,10 +1,20 @@
 #include "src/core/absorption.h"
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/core/dominance.h"
 #include "src/core/solver.h"
+#include "src/reduction/dnf.h"
+#include "src/util/random.h"
+#include "src/workload/block_zipf_generator.h"
+#include "src/workload/car_evaluation.h"
+#include "src/workload/nursery.h"
+#include "src/workload/uniform_generator.h"
 #include "test_util.h"
 
 namespace skypref {
@@ -119,6 +129,69 @@ TEST(AbsorptionTest, EmptyCandidateList) {
   Dataset data = Example1Dataset();
   std::vector<ObjectId> none;
   EXPECT_TRUE(AbsorbCandidates(data, 0, none).empty());
+}
+
+/// The in-tree generators: uniform, block-zipf, the Nursery and Car
+/// Evaluation projections, random small instances and one instance of
+/// the Theorem-1 DNF reduction.
+std::vector<std::pair<std::string, Dataset>> GeneratorMatrix() {
+  std::vector<std::pair<std::string, Dataset>> matrix;
+  UniformOptions uniform;
+  uniform.objects = 200;
+  uniform.dimensions = 4;
+  uniform.values_per_dimension = 6;
+  uniform.seed = 3;
+  matrix.emplace_back("uniform", GenerateUniform(uniform).value());
+  BlockZipfOptions zipf;
+  zipf.objects = 300;
+  zipf.seed = 5;
+  matrix.emplace_back("block-zipf", GenerateBlockZipf(zipf).value());
+  matrix.emplace_back("nursery d=5",
+                      GenerateNurseryProjection(5).value().dataset);
+  matrix.emplace_back("car evaluation d=4",
+                      GenerateCarEvaluationProjection(4).value().dataset);
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    matrix.emplace_back("random seed " + std::to_string(seed),
+                        RandomSmallDataset(seed, 40, 3, 4));
+  }
+  PositiveDnf formula;
+  formula.num_literals = 6;
+  formula.clauses = {{0, 1}, {1, 2, 3}, {3, 4}, {0, 5}, {2, 5}, {1, 4, 5}};
+  matrix.emplace_back("dnf reduction",
+                      ReduceToSkylineInstance(formula).value().dataset);
+  return matrix;
+}
+
+// The shared-postings entry point and the per-call one run one pass, so
+// they give the same survivor list element for element; and since two
+// distinct objects cannot absorb each other (A3), the survivor set does
+// not depend on the order the candidates are scanned in.
+TEST(AbsorptionTest, SurvivorsMatchAcrossEntryPointsAndScanOrders) {
+  Rng rng(2013);
+  for (const auto& [name, data] : GeneratorMatrix()) {
+    const ValuePostings postings(data);
+    for (ObjectId target = 0; target < data.size(); ++target) {
+      std::vector<ObjectId> candidates =
+          AllObjectsExcept(data.size(), target);
+      AbsorptionStats indexed_stats;
+      AbsorptionStats local_stats;
+      const std::vector<ObjectId> indexed =
+          AbsorbAllCandidatesIndexed(data, target, postings, &indexed_stats);
+      ASSERT_EQ(indexed,
+                AbsorbCandidates(data, target, candidates, &local_stats))
+          << name << " target " << target;
+      EXPECT_EQ(indexed_stats.input_candidates, local_stats.input_candidates);
+      EXPECT_EQ(indexed_stats.absorbed, local_stats.absorbed);
+
+      for (std::size_t i = candidates.size(); i > 1; --i) {
+        std::swap(candidates[i - 1], candidates[rng.NextBounded(i)]);
+      }
+      std::vector<ObjectId> shuffled =
+          AbsorbCandidates(data, target, candidates);
+      std::sort(shuffled.begin(), shuffled.end());
+      ASSERT_EQ(shuffled, indexed) << name << " target " << target;
+    }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include "src/core/bounds.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "src/core/exact.h"
@@ -217,6 +219,18 @@ TEST(DecideThresholdTest, RejectsBadThreshold) {
   EXPECT_EQ(DecideThreshold(data, 0, model, -0.1).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(DecideThreshold(data, 0, model, 1.1).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+// NaN fails every comparison, so a range test written as "tau < 0 ||
+// tau > 1" lets it through to a meaningless yes/no.
+TEST(DecideThresholdTest, RejectsNaNThreshold) {
+  Dataset data = Example1Dataset();
+  TablePreferenceModel model;
+  EXPECT_EQ(DecideThreshold(data, 0, model,
+                            std::numeric_limits<double>::quiet_NaN())
+                .status()
+                .code(),
             StatusCode::kInvalidArgument);
 }
 

@@ -2,9 +2,9 @@
 /// src/util/failpoint.cc) must be consulted by at least one workload in
 /// this battery. A site that nothing reaches is dead weight — or worse,
 /// a typo'd registration hiding an unguarded literal — and the chaos
-/// sweep (tools/skypref_chaos.cc) would silently skip it. Runs only in
-/// SKYPREF_FAILPOINTS builds (the sanitizer presets); elsewhere the one
-/// test skips.
+/// sweep (tools/skypref_chaos.cc) would silently skip it. Linked against
+/// a failpoints-on library in every tree (tests/CMakeLists.txt); built
+/// any other way, the one test skips.
 
 #include <gtest/gtest.h>
 

@@ -3,10 +3,10 @@
 /// degradation path — exact DFS, sampler loop, parallel task, batch
 /// target dispatch (plus its retry salvage pass), allocation failure,
 /// delay and spurious-wake schedules, seeded chaos reproducibility, and
-/// the arm-under-fire atomicity contract. Site-driven tests skip in
-/// builds without SKYPREF_FAILPOINTS (the release presets); the
-/// sanitizer presets compile the sites in and run the full file under
-/// the `failpoint` ctest label.
+/// the arm-under-fire atomicity contract. The build always compiles the
+/// sites in for this file: a failpoints-off tree links it against the
+/// failpoints-on copy of the library (tests/CMakeLists.txt). Site-driven
+/// tests skip only if the file is built some other way.
 
 #include <gtest/gtest.h>
 

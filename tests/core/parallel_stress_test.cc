@@ -1,10 +1,12 @@
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/core/dominance.h"
 #include "src/core/parallel.h"
+#include "src/core/sam_bitslice.h"
 #include "src/core/sam_parallel.h"
 #include "test_util.h"
 
@@ -21,30 +23,31 @@ namespace {
 
 using skypref::testing::RandomSmallDataset;
 
-constexpr MonteCarloOptions::Engine kPooledEngines[] = {
-    MonteCarloOptions::Engine::kBlock, MonteCarloOptions::Engine::kBitSliced};
+using PooledEngine = Result<MonteCarloResult> (*)(
+    const Dataset&, ObjectId, std::span<const ObjectId>,
+    const PreferenceModel&, ThreadPool&, const MonteCarloOptions&);
+constexpr PooledEngine kPooledEngines[] = {
+    &BlockMonteCarloSkylineProbability, &BitSlicedMonteCarloSkylineProbability};
 
 TEST(ParallelDeterminismStressTest, MonteCarloThreadCountSweep) {
   Dataset data = RandomSmallDataset(91, 12, 3, 4);
   HashedPreferenceModel model(5,
                               HashedPreferenceModel::Style::kSimplexUniform);
   const std::vector<ObjectId> candidates = AllObjectsExcept(data.size(), 0);
-  for (MonteCarloOptions::Engine engine : kPooledEngines) {
+  for (PooledEngine engine : kPooledEngines) {
     MonteCarloOptions options;
     options.samples = 4000;
     options.seed = 99;
     options.block_size = 256;  // 16 blocks to fan out
-    options.engine = engine;
 
     ThreadPool reference_pool(0);
-    auto reference = PooledMonteCarloSkylineProbability(
-        data, 0, candidates, model, reference_pool, options);
+    auto reference =
+        engine(data, 0, candidates, model, reference_pool, options);
     ASSERT_TRUE(reference.ok());
 
     for (std::size_t threads : {1u, 2u, 3u, 5u, 8u}) {
       ThreadPool pool(threads);
-      auto run = PooledMonteCarloSkylineProbability(data, 0, candidates,
-                                                    model, pool, options);
+      auto run = engine(data, 0, candidates, model, pool, options);
       ASSERT_TRUE(run.ok()) << "threads=" << threads;
       EXPECT_EQ(run->skyline_worlds, reference->skyline_worlds)
           << "threads=" << threads;
@@ -62,18 +65,15 @@ TEST(ParallelDeterminismStressTest, MonteCarloRepeatedRunsOnOnePool) {
   HashedPreferenceModel model(3, HashedPreferenceModel::Style::kTotalUniform);
   const std::vector<ObjectId> candidates = AllObjectsExcept(data.size(), 1);
   ThreadPool pool(4);
-  for (MonteCarloOptions::Engine engine : kPooledEngines) {
+  for (PooledEngine engine : kPooledEngines) {
     MonteCarloOptions options;
     options.samples = 2048;
     options.seed = 7;
     options.block_size = 128;
-    options.engine = engine;
-    auto first = PooledMonteCarloSkylineProbability(data, 1, candidates, model,
-                                                    pool, options);
+    auto first = engine(data, 1, candidates, model, pool, options);
     ASSERT_TRUE(first.ok());
     for (int round = 0; round < 25; ++round) {
-      auto again = PooledMonteCarloSkylineProbability(data, 1, candidates,
-                                                      model, pool, options);
+      auto again = engine(data, 1, candidates, model, pool, options);
       ASSERT_TRUE(again.ok());
       ASSERT_EQ(again->skyline_worlds, first->skyline_worlds)
           << "round " << round;

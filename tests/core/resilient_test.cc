@@ -214,7 +214,7 @@ TEST(ResilientTest, PreCancelledTokenAbortsAtEveryThreadCount) {
   CancelToken token;
   token.RequestCancel();
   ResilientOptions options;
-  options.cancel = &token;
+  options.solver.exact.cancel = &token;
   for (std::size_t threads : {0u, 1u, 2u, 8u}) {
     ThreadPool pool(threads);
     auto run = ResilientSkylineProbability(data, 0, model, pool, options);

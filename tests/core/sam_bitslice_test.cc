@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/adaptive_sampling.h"
 #include "src/core/monte_carlo.h"
 #include "src/core/sam_parallel.h"
 #include "src/core/solver.h"
@@ -292,33 +291,6 @@ TEST(SolverEngineTest, BitSlicedEngineThroughSolverMatchesDirectCall) {
   ASSERT_TRUE(inline_run.ok()) << inline_run.status();
   ASSERT_TRUE(pooled_run.ok()) << pooled_run.status();
   EXPECT_DOUBLE_EQ(*inline_run, *pooled_run);
-}
-
-TEST(AdaptiveBitSlicedTest, BatchesAreRoundedToWholeChunks) {
-  Dataset data = RandomSmallDataset(19, 18, 2, 5);
-  TablePreferenceModel model;
-  AdaptiveOptions options;
-  options.epsilon = 0.05;
-  options.delta = 0.05;
-  options.initial_batch = 100;  // deliberately not a multiple of 64
-  options.engine = MonteCarloOptions::Engine::kBitSliced;
-  ThreadPool pool(2);
-  auto run =
-      AdaptiveMonteCarloSkylineProbability(data, 0, model, pool, options);
-  ASSERT_TRUE(run.ok()) << run.status();
-  // Every checkpoint batch is rounded up to whole 64-world mask words, so
-  // the total is one too — the engine never ran a partial-word remainder.
-  EXPECT_EQ(run->samples % 64, 0u);
-  EXPECT_GT(run->samples, 0u);
-  EXPECT_LE(run->radius, options.epsilon);
-
-  // The kBlock default is untouched by the rounding (regression guard).
-  AdaptiveOptions scalar = options;
-  scalar.engine = MonteCarloOptions::Engine::kBlock;
-  auto block_run =
-      AdaptiveMonteCarloSkylineProbability(data, 0, model, pool, scalar);
-  ASSERT_TRUE(block_run.ok()) << block_run.status();
-  EXPECT_LE(block_run->radius, options.epsilon);
 }
 
 }  // namespace

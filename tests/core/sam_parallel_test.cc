@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/monte_carlo.h"
+#include "src/core/sam_bitslice.h"
 #include "src/core/solver.h"
 #include "src/util/failpoint.h"
 #include "test_util.h"
@@ -329,13 +330,15 @@ TEST(SamEngineTest, RequestErrorsMatchAcrossEngines) {
   for (const Case& c : cases) {
     for (Engine engine :
          {Engine::kSerial, Engine::kBlock, Engine::kBitSliced}) {
-      MonteCarloOptions options = c.options;
-      options.engine = engine;
+      const MonteCarloOptions& options = c.options;
       Result<MonteCarloResult> run =
           engine == Engine::kSerial
               ? MonteCarloSkylineProbability(data, c.target, c.candidates,
                                              model, options)
-              : PooledMonteCarloSkylineProbability(
+          : engine == Engine::kBlock
+              ? BlockMonteCarloSkylineProbability(data, c.target, c.candidates,
+                                                  model, pool, options)
+              : BitSlicedMonteCarloSkylineProbability(
                     data, c.target, c.candidates, model, pool, options);
       const StatusCode want = engine == Engine::kSerial  ? c.serial
                               : engine == Engine::kBlock ? c.block

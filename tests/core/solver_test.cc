@@ -99,6 +99,38 @@ TEST(SolverTest, SamPlusHandlesSingletonGroupsExactly) {
   EXPECT_EQ(stats.samples_drawn, 0u);
 }
 
+// Sam+ answers a singleton group in closed form, so a query whose groups
+// are all singletons never reaches a sampler; it must still reject the
+// options a sampler would, as the same query without preprocessing does.
+TEST(SolverTest, SamPlusRejectsBadOptionsWhenEveryGroupIsASingleton) {
+  Dataset data = Figure1Dataset();
+  TablePreferenceModel model;  // Pr = 1/2 both ways
+  auto solver = SkylineSolver::Create(data, model).value();
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (ObjectId target = 0; target < 3; ++target) {
+    SolveStats stats;
+    ASSERT_TRUE(solver.MonteCarlo(target, {}, &stats).ok());
+    ASSERT_LE(stats.largest_group, 1u) << "target " << target;
+    for (double bad : {kNaN, kInf, -1.0}) {
+      for (bool preprocess : {true, false}) {
+        SolverOptions epsilon;
+        epsilon.preprocess = preprocess;
+        epsilon.monte_carlo.epsilon = bad;
+        SolverOptions delta = epsilon;
+        delta.monte_carlo.epsilon = 0.01;
+        delta.monte_carlo.delta = bad;
+        for (const SolverOptions& options : {epsilon, delta}) {
+          EXPECT_EQ(solver.MonteCarlo(target, options).status().code(),
+                    StatusCode::kInvalidArgument)
+              << "target " << target << " bad value " << bad
+              << " preprocess " << preprocess;
+        }
+      }
+    }
+  }
+}
+
 TEST(SolverTest, IndependentBaselineAccessor) {
   Dataset data = Example1Dataset();
   TablePreferenceModel model;

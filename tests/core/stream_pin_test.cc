@@ -23,6 +23,7 @@
 #include "src/core/dominance.h"
 #include "src/core/lineage_dp.h"
 #include "src/core/monte_carlo.h"
+#include "src/core/sam_bitslice.h"
 #include "src/core/sam_parallel.h"
 #include "src/core/solver.h"
 #include "src/core/tentative_approx.h"
@@ -77,7 +78,6 @@ TEST(StreamPinTest, SingleTargetSamEngines) {
   };
   for (const Case& c : cases) {
     MonteCarloOptions options;
-    options.engine = c.engine;
     options.lazy = c.lazy;
     options.samples = 3000;
     options.seed = 77;
@@ -86,8 +86,11 @@ TEST(StreamPinTest, SingleTargetSamEngines) {
         c.engine == Engine::kSerial
             ? MonteCarloSkylineProbability(data, kTarget, candidates, model,
                                            options)
-            : PooledMonteCarloSkylineProbability(data, kTarget, candidates,
-                                                 model, pool, options);
+        : c.engine == Engine::kBlock
+            ? BlockMonteCarloSkylineProbability(data, kTarget, candidates,
+                                                model, pool, options)
+            : BitSlicedMonteCarloSkylineProbability(data, kTarget, candidates,
+                                                    model, pool, options);
     SCOPED_TRACE(&c - cases);  // the failing case's index
     ASSERT_TRUE(run.ok()) << run.status();
     EXPECT_FALSE(run->truncated);

@@ -1,5 +1,7 @@
 #include "src/core/subspace.h"
 
+#include <chrono>
+
 #include <gtest/gtest.h>
 
 #include "src/core/brute_force.h"
@@ -9,6 +11,7 @@ namespace skypref {
 namespace {
 
 using skypref::testing::Example1Dataset;
+using skypref::testing::ManyGroupsDataset;
 using skypref::testing::RandomSmallDataset;
 
 TEST(SubspaceTest, FullMaskEqualsFullSpaceSolve) {
@@ -118,6 +121,22 @@ TEST(SkycubeTest, EnumeratesAllSubspacesOrderedByDimension) {
   EXPECT_EQ(cells[1].dimensions, 1u);
   EXPECT_EQ(cells[2].dimensions, 2u);
   EXPECT_DOUBLE_EQ(cells[2].probability, 3.0 / 16.0);
+}
+
+// One deadline per call, as in SkylineSolver::Exact: 32 groups whose DFS
+// (2^20 subsets, about 20 ms each on a 2020s x86-64 core) finishes inside
+// the limit on its own, but not all of them together.
+TEST(SubspaceTest, TimeLimitBoundsTheWholeCall) {
+  Dataset data = ManyGroupsDataset(32, 20);
+  TablePreferenceModel model;
+  ExactOptions options;
+  options.time_limit_seconds = 0.05;
+  const auto start = std::chrono::steady_clock::now();
+  auto run = SubspaceSkylineProbability(data, 0, 0b11, model, options);
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_LT(elapsed.count(), 0.5);
 }
 
 TEST(SkycubeTest, InvalidArguments) {

@@ -112,6 +112,24 @@ TEST(ApproxPartialTermsTest, RejectsZeroBudget) {
       StatusCode::kInvalidArgument);
 }
 
+// A candidate id past the dataset is an OutOfRange Status, never a read
+// past the object table.
+TEST(ApproxTopObjectsTest, RejectsOutOfRangeCandidate) {
+  Dataset data = Example1Dataset();
+  TablePreferenceModel model;
+  std::vector<ObjectId> candidates{1, 1000000};
+  EXPECT_EQ(ApproxTopObjects(data, 0, candidates, model, 2).status().code(),
+            StatusCode::kOutOfRange);
+}
+
+TEST(ApproxPartialTermsTest, RejectsOutOfRangeCandidate) {
+  Dataset data = Example1Dataset();
+  TablePreferenceModel model;
+  std::vector<ObjectId> candidates{1, 1000000};
+  EXPECT_EQ(ApproxPartialTerms(data, 0, candidates, model, 4).status().code(),
+            StatusCode::kOutOfRange);
+}
+
 TEST(TentativeApproxTest, InvalidArguments) {
   Dataset data = Example1Dataset();
   TablePreferenceModel model;

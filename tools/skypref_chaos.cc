@@ -45,6 +45,7 @@
 
 #include "src/core/dominance.h"
 #include "src/core/resilient.h"
+#include "src/core/sam_bitslice.h"
 #include "src/core/sam_parallel.h"
 #include "src/core/solver.h"
 #include "src/model/preference_model.h"
@@ -216,14 +217,11 @@ SolverOptions ExactBatchOptions() {
   return options;
 }
 
-MonteCarloOptions SamOptions(EngineKind engine, ObjectId target) {
+MonteCarloOptions SamOptions(ObjectId target) {
   MonteCarloOptions mc;
   mc.samples = 2048;
   mc.block_size = 256;  // multiple of 64 for the bit-sliced engine
   mc.seed = HashMix(0xc4a05eedULL ^ target);
-  mc.engine = engine == EngineKind::kBitSliced
-                  ? MonteCarloOptions::Engine::kBitSliced
-                  : MonteCarloOptions::Engine::kBlock;
   return mc;
 }
 
@@ -252,10 +250,13 @@ RunOutcome RunEngine(EngineKind engine, const Dataset& data,
     case EngineKind::kBlock:
     case EngineKind::kBitSliced: {
       for (ObjectId t = 0; t < n; ++t) {
+        const std::vector<ObjectId> candidates = AllObjectsExcept(n, t);
         auto result =
-            PooledMonteCarloSkylineProbability(data, t, AllObjectsExcept(n, t),
-                                               model, pool,
-                                               SamOptions(engine, t));
+            engine == EngineKind::kBlock
+                ? BlockMonteCarloSkylineProbability(data, t, candidates, model,
+                                                    pool, SamOptions(t))
+                : BitSlicedMonteCarloSkylineProbability(
+                      data, t, candidates, model, pool, SamOptions(t));
         if (result.ok()) {
           out.value[t] = result->estimate;
           out.truncated[t] = result->truncated;
