@@ -29,8 +29,9 @@ void RunExact(benchmark::State& state, const Dataset& data,
 
   SolverOptions options;
   options.preprocess = preprocess;
-  options.exact = PaperExactOptions(ExactCutoffSeconds() /
-                                    static_cast<double>(targets.size()));
+  options.exact = PaperExactOptions();
+  options.budget.time_limit_seconds =
+      ExactCutoffSeconds() / static_cast<double>(targets.size());
 
   std::uint64_t subsets = 0;
   double elapsed_ms = 0.0;

@@ -25,8 +25,9 @@ void RunExact(benchmark::State& state, const Dataset& data,
       SampleTargets(data.size(), TargetCount(data.size()));
   SolverOptions options;
   options.preprocess = preprocess;
-  options.exact = PaperExactOptions(ExactCutoffSeconds() /
-                                    static_cast<double>(targets.size()));
+  options.exact = PaperExactOptions();
+  options.budget.time_limit_seconds =
+      ExactCutoffSeconds() / static_cast<double>(targets.size());
 
   double elapsed_ms = 0.0;
   std::uint64_t solves = 0;

@@ -61,8 +61,9 @@ void BM_SubsetDfs_Uniform(benchmark::State& state) {
   auto solver = SkylineSolver::Create(data, prefs).value();
   std::vector<ObjectId> targets = SampleTargets(data.size(), 8);
   SolverOptions options;
-  options.exact = PaperExactOptions(ExactCutoffSeconds() /
-                                    static_cast<double>(targets.size()));
+  options.exact = PaperExactOptions();
+  options.budget.time_limit_seconds =
+      ExactCutoffSeconds() / static_cast<double>(targets.size());
   double elapsed_ms = 0.0;
   for (auto _ : state) {
     for (ObjectId target : targets) {

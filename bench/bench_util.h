@@ -102,11 +102,12 @@ inline BlockLocalPreferenceModel BlockPrefs(const PreferenceModel& base) {
 
 /// The figure benches run Det and Det+ exactly as published (Algorithm 1
 /// with the sharing technique only); the zero-subtree pruning this
-/// library adds on top is measured separately in bench_ablation.
-inline ExactOptions PaperExactOptions(double time_limit_seconds) {
+/// library adds on top is measured separately in bench_ablation. Their
+/// per-query cutoff goes into SolverOptions::budget, for the Det and
+/// Det+ series only.
+inline ExactOptions PaperExactOptions() {
   ExactOptions options;
   options.prune_zero = false;
-  options.time_limit_seconds = time_limit_seconds;
   return options;
 }
 

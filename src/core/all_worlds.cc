@@ -62,9 +62,7 @@ Result<AllWorldsResult> EstimateAllSkylineProbabilities(
         "or delta NaN)");
   }
 
-  const Deadline deadline = options.deadline.has_value()
-                                ? *options.deadline
-                                : Deadline::After(options.time_limit_seconds);
+  SKYPREF_ASSIGN_OR_RETURN(const QueryBudget budget, options.budget.Resolve());
 
   SharedWorldSampler sampler(data, model);
   Rng rng(options.seed);
@@ -74,10 +72,8 @@ Result<AllWorldsResult> EstimateAllSkylineProbabilities(
 
   const std::uint64_t chunks = internal::BlockCount(samples, 64);
   for (std::uint64_t c = 0; c < chunks; ++c) {
-    // One poll per chunk — a chunk touches every object 64 times over;
-    // c == 0 is included so a pre-cancelled token stops before any
-    // sampling work.
-    SKYPREF_RETURN_IF_ERROR(CheckStop(options.cancel, deadline));
+    // One poll per chunk — a chunk touches every object 64 times over.
+    SKYPREF_RETURN_IF_ERROR(CheckStop(budget.cancel, budget.deadline));
     sampler.NextChunk();
     const std::uint64_t valid = internal::ValidLanes(samples - 64 * c);
     for (ObjectId i = 0; i < n; ++i) {

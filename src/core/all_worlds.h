@@ -23,9 +23,13 @@
 /// By Hoeffding plus a union bound over the n objects, m =
 /// ln(2n/delta) / (2 epsilon^2) worlds bound every estimate's error by
 /// epsilon simultaneously with confidence 1 - delta.
+///
+/// The estimators are one query each: AllWorldsOptions::budget is
+/// resolved once at entry and polled once per 64-world chunk. No partial
+/// result is returned, so deadline expiry is ResourceExhausted and a
+/// tripped token Cancelled.
 
 #include <cstdint>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -46,15 +50,9 @@ struct AllWorldsOptions {
   /// bound over all objects.
   std::uint64_t samples = 0;
   std::uint64_t seed = 0xa11c0e5ULL;
-  /// Cooperative stop signals (src/util/cancel.h), polled once per
-  /// 64-world chunk.
-  /// Cancellation -> Status::Cancelled; expiry -> ResourceExhausted.
-  const CancelToken* cancel = nullptr;
-  /// Absolute deadline; wins over time_limit_seconds when both are set.
-  std::optional<Deadline> deadline;
-  /// Relative budget resolved to a deadline when the estimate starts;
-  /// non-positive = unlimited.
-  double time_limit_seconds = 0.0;
+  /// The estimate's time limit, deadline and cancel token; expiry ->
+  /// ResourceExhausted, cancellation -> Cancelled.
+  QueryBudget budget;
 };
 
 struct AllWorldsResult {

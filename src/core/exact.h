@@ -32,24 +32,21 @@
 ///  * zero subtrees are pruned — once Pr(E_I) = 0, every superset of I
 ///    also has probability 0 and contributes nothing (toggle via
 ///    ExactOptions::prune_zero for the ablation bench);
-///  * a work budget and wall-clock limit so benches can report "did not
-///    finish" instead of hanging (the problem is #P-complete; Det is
-///    exponential by design). Callers that fan one query out over several
-///    solves (Det+ groups, batch all-objects) pass one precomputed shared
-///    deadline so the total wall time honors the limit once, not once per
-///    solve;
-///  * cooperative cancellation: a CancelToken polled at the same bounded
-///    cadence as the deadline (src/util/cancel.h), so a query can be
-///    abandoned mid-DFS from another thread. A token cancelled before the
-///    solve starts yields Status::Cancelled deterministically;
+///  * a subset budget (ExactOptions::max_subsets) and a QueryBudget
+///    (src/util/cancel.h) so benches can report "did not finish" instead
+///    of hanging (the problem is #P-complete; Det is exponential by
+///    design). The budget's deadline and cancel token are polled every
+///    4096 visits; callers that fan one query out over several solves
+///    (Det+ groups, batch all-objects) pass every solve the query's one
+///    resolved budget, so the total wall time honors the limit once, not
+///    once per solve. A token cancelled before the solve starts yields
+///    Status::Cancelled deterministically;
 ///  * a deterministic failpoint in the visit-charging path ("exact.dfs",
 ///    src/util/failpoint.h, compiled out unless SKYPREF_FAILPOINTS) so
 ///    tests can force the ResourceExhausted degradation path on the N-th
 ///    visit.
 
-#include <chrono>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -73,24 +70,6 @@ struct ExactOptions {
   /// (0 = unlimited). Each visited subset costs O(d).
   std::uint64_t max_subsets = 0;
 
-  /// Abort with ResourceExhausted after this much wall time
-  /// (0 = unlimited). Checked every few thousand subsets.
-  double time_limit_seconds = 0.0;
-
-  /// A precomputed absolute deadline shared by several solves of one
-  /// logical query; when set it takes precedence over
-  /// time_limit_seconds. Multi-solve drivers (Det+ groups, the batch
-  /// all-objects solver, the resilient ladder) set this once up front so
-  /// the whole query — not each solve independently — observes the time
-  /// limit.
-  Deadline deadline;
-
-  /// Optional cooperative cancellation; polled at the same bounded
-  /// cadence as the deadline. Observing a cancelled token returns
-  /// Status::Cancelled. Not owned; must outlive the solve. nullptr =
-  /// not cancellable.
-  const CancelToken* cancel = nullptr;
-
   /// Skip subtrees whose joint probability is exactly zero.
   bool prune_zero = true;
 };
@@ -105,35 +84,28 @@ struct ExactStats {
 /// subset). Object values listed in \p candidates must not equal target.
 ///
 /// Numeric-generic: instantiate with DoubleOracle for speed or
-/// RationalOracle for bit-exact results.
+/// RationalOracle for bit-exact results. \p budget is resolved at entry:
+/// its deadline expiry is ResourceExhausted ("time limit"), its token
+/// Cancelled.
 template <typename Oracle>
 Result<typename Oracle::NumType> ExactSkylineProbability(
     const Dataset& data, ObjectId target, std::span<const ObjectId> candidates,
     const Oracle& oracle, const ExactOptions& options = {},
-    ExactStats* stats = nullptr);
+    ExactStats* stats = nullptr, const QueryBudget& budget = {});
 
 /// Convenience wrapper over all objects except \p target, double
 /// precision, no preprocessing (the paper's plain "Det").
 Result<double> ExactSkylineProbability(const Dataset& data, ObjectId target,
                                        const PreferenceModel& model,
                                        const ExactOptions& options = {},
-                                       ExactStats* stats = nullptr);
+                                       ExactStats* stats = nullptr,
+                                       const QueryBudget& budget = {});
 
 // -------------------------------------------------------------------------
 // Implementation
 // -------------------------------------------------------------------------
 
 namespace internal {
-
-/// Resolves the effective deadline of one solve or query from its
-/// ExactOptions or MonteCarloOptions: an explicit shared deadline wins,
-/// otherwise time_limit_seconds counts from now. With neither set the
-/// deadline stays unset and no clock is read.
-template <typename Options>
-Deadline ResolveDeadline(const Options& options) {
-  if (options.deadline.has_value()) return options.deadline;
-  return Deadline::After(options.time_limit_seconds);
-}
 
 inline Status SubsetBudgetExhausted(std::uint64_t max_subsets) {
   return Status::ResourceExhausted(
@@ -252,29 +224,21 @@ class LevelTerms {
 };
 
 /// The flattened DFS engine: walks the inclusion-exclusion tree over a
-/// prebuilt FlatInstance. The instance must outlive the engine.
+/// prebuilt FlatInstance, polling a resolved \p budget. The instance must
+/// outlive the engine.
 template <typename Oracle>
 class FlatExactEngine {
  public:
   using Num = typename Oracle::NumType;
 
   FlatExactEngine(const FlatInstance<Oracle>& instance,
-                  const ExactOptions& options)
-      : instance_(&instance),
-        options_(options),
-        deadline_(ResolveDeadline(options)) {
+                  const ExactOptions& options, const QueryBudget& budget = {})
+      : instance_(&instance), options_(options), budget_(budget) {
     counts_.assign(instance.pair_count(), 0);
   }
 
   Result<Num> Run(ExactStats* stats) {
     if (stats != nullptr) stats->subsets_visited = 0;
-    // Solve-boundary cancel check: a token cancelled before the solve
-    // starts is observed regardless of instance size (the in-loop poll
-    // runs only every 4096 visits).
-    if (options_.cancel != nullptr && options_.cancel->cancelled()) {
-      status_ = CancelledStatus();
-      return status_;
-    }
     status_ = Status::OK();
     accumulator_ = Accumulator<Num>();
     accumulator_.Add(Num(1));  // the k = 0 term of Eq. 4
@@ -328,11 +292,11 @@ class FlatExactEngine {
       return false;
     }
     if ((visited_ & 0xfff) == 0) {
-      if (options_.cancel != nullptr && options_.cancel->cancelled()) {
+      if (budget_.cancelled()) {
         status_ = CancelledStatus();
         return false;
       }
-      if (deadline_.Expired()) {
+      if (budget_.deadline.Expired()) {
         status_ = TimeLimitExhausted();
         return false;
       }
@@ -342,7 +306,7 @@ class FlatExactEngine {
 
   const FlatInstance<Oracle>* instance_;
   ExactOptions options_;
-  Deadline deadline_;
+  QueryBudget budget_;
 
   std::vector<std::uint32_t> counts_;  // pair id -> multiplicity in I
   Accumulator<Num> accumulator_;
@@ -355,8 +319,10 @@ class FlatExactEngine {
 template <typename Oracle>
 Result<typename Oracle::NumType> ExactSkylineProbability(
     const Dataset& data, ObjectId target, std::span<const ObjectId> candidates,
-    const Oracle& oracle, const ExactOptions& options, ExactStats* stats) {
+    const Oracle& oracle, const ExactOptions& options, ExactStats* stats,
+    const QueryBudget& budget) {
   SKYPREF_RETURN_IF_ERROR(ValidateCandidates(data.size(), target, candidates));
+  SKYPREF_ASSIGN_OR_RETURN(const QueryBudget resolved, budget.Resolve());
   // The flattened instance is the solve's one big allocation; through
   // TryAlloc its failure is ResourceExhausted, which degrades through
   // the resilient ladder like a blown budget instead of terminating.
@@ -365,7 +331,7 @@ Result<typename Oracle::NumType> ExactSkylineProbability(
       TryAlloc("alloc.exact.flat_instance", [&] {
         return internal::BuildFlatInstance(data, target, candidates, oracle);
       }));
-  internal::FlatExactEngine<Oracle> engine(instance, options);
+  internal::FlatExactEngine<Oracle> engine(instance, options, resolved);
   return engine.Run(stats);
 }
 

@@ -43,16 +43,16 @@ double HoeffdingEpsilon(std::uint64_t samples, double delta) {
 
 Result<MonteCarloResult> MonteCarloSkylineProbability(
     const Dataset& data, ObjectId target, std::span<const ObjectId> candidates,
-    const PreferenceModel& model, const MonteCarloOptions& options) {
+    const PreferenceModel& model, const MonteCarloOptions& options,
+    const QueryBudget& budget) {
   // The deadline bounds the loop (one adversarial group could otherwise
   // pin a worker for the full Hoeffding count); cancellation is polled at
   // the same cadence.
   SKYPREF_ASSIGN_OR_RETURN(
       internal::SamRequest request,
       internal::PrepareSamRequest(data, target, candidates, model, options,
-                                  MonteCarloOptions::Engine::kSerial));
+                                  MonteCarloOptions::Engine::kSerial, budget));
   const std::uint64_t samples = request.samples;
-  const Deadline& deadline = request.deadline;
 
   const internal::FlatInstance<DoubleOracle> instance =
       internal::BuildFlatInstance(data, target,
@@ -88,10 +88,9 @@ Result<MonteCarloResult> MonteCarloSkylineProbability(
              internal::kPairDrawPollStride) &&
         drawn < samples) {
       draws_at_last_poll = result.pair_draws;
-      if (options.cancel != nullptr && options.cancel->cancelled()) {
-        return CancelledStatus();
-      }
-      if (deadline.Expired() || SKYPREF_FAILPOINT("sampler.world")) {
+      if (request.budget.cancelled()) return CancelledStatus();
+      if (request.budget.deadline.Expired() ||
+          SKYPREF_FAILPOINT("sampler.world")) {
         result.truncated = true;
         break;
       }
@@ -107,9 +106,10 @@ Result<MonteCarloResult> MonteCarloSkylineProbability(
 
 Result<MonteCarloResult> MonteCarloSkylineProbability(
     const Dataset& data, ObjectId target, const PreferenceModel& model,
-    const MonteCarloOptions& options) {
+    const MonteCarloOptions& options, const QueryBudget& budget) {
   return MonteCarloSkylineProbability(
-      data, target, AllObjectsExcept(data.size(), target), model, options);
+      data, target, AllObjectsExcept(data.size(), target), model, options,
+      budget);
 }
 
 }  // namespace skypref

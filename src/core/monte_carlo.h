@@ -19,10 +19,15 @@
 ///    in descending order of Pr(Qi < O) so that non-skyline worlds are
 ///    refuted after sampling as few preferences as possible.
 ///
-/// The sampling loop is interruptible: a deadline (time_limit_seconds or
-/// a shared MonteCarloOptions::deadline) returns the PARTIAL result with
-/// its achieved sample count — an estimate with a wider Hoeffding bar,
-/// never a lost query — and a CancelToken aborts with Status::Cancelled.
+/// The sampling loop is interruptible through the QueryBudget each engine
+/// takes (src/util/cancel.h): unlike the exact solver's limit, deadline
+/// expiry is NOT an error — the loop returns the PARTIAL result with its
+/// achieved sample count and truncated = true, an estimate with a wider
+/// Hoeffding bar (HoeffdingEpsilon), never a lost query — while a
+/// tripped token aborts with Status::Cancelled. Both are polled every 64
+/// worlds AND every few thousand pair draws (so one group with enormous
+/// per-world cost cannot overshoot the limit by 64 expensive worlds); at
+/// least min(64, samples) worlds are always drawn.
 ///
 /// Three engines implement the estimator (MonteCarloOptions::Engine):
 ///
@@ -68,7 +73,8 @@ struct MonteCarloOptions {
   /// Hoeffding, which needs both finite. The paper's empirical studies
   /// use 3000 where the bound would demand 26,492. A count saturated at
   /// UINT64_MAX (epsilon around 1e-10 and below) runs only on kSerial
-  /// with a deadline or time limit; otherwise it is InvalidArgument.
+  /// under a budget with a deadline or time limit; otherwise it is
+  /// InvalidArgument.
   std::uint64_t samples = 0;
   /// PRNG seed; a fixed seed makes runs exactly reproducible.
   std::uint64_t seed = 0x5eed5eedULL;
@@ -79,27 +85,6 @@ struct MonteCarloOptions {
   /// dominating candidate. Disabled (= sample every relevant pair up
   /// front) only by the ablation bench.
   bool lazy = true;
-
-  /// Stop sampling after this much wall time (0 = unlimited). Unlike the
-  /// exact solver's limit, expiry is NOT an error: the loop returns the
-  /// partial MonteCarloResult with its achieved sample count and
-  /// truncated = true, so callers widen the error bar (HoeffdingEpsilon)
-  /// instead of losing the estimate. Checked every 64 worlds AND every
-  /// few thousand pair draws (so one group with enormous per-world cost
-  /// cannot overshoot the limit by 64 expensive worlds); at least
-  /// min(64, samples) worlds are always drawn.
-  double time_limit_seconds = 0.0;
-
-  /// A precomputed absolute deadline shared by several solves of one
-  /// logical query (mirroring ExactOptions::deadline); when set it takes
-  /// precedence over time_limit_seconds.
-  Deadline deadline;
-
-  /// Optional cooperative cancellation, polled at the same cadence as
-  /// the deadline. Unlike deadline expiry, observing a cancelled token
-  /// returns Status::Cancelled — the answer is no longer wanted. Not
-  /// owned; nullptr = not cancellable.
-  const CancelToken* cancel = nullptr;
 
   /// Which engine SkylineSolver::MonteCarlo runs; no other function
   /// reads it. Estimates are NOT bit-identical between engines (each
@@ -162,15 +147,18 @@ std::uint64_t SaturatingSampleCount(double bound);
 
 }  // namespace internal
 
-/// Estimates sky(target) against the given candidate set.
+/// Estimates sky(target) against the given candidate set; \p budget is
+/// resolved at entry and truncates (deadline) or cancels (token) the
+/// world loop.
 Result<MonteCarloResult> MonteCarloSkylineProbability(
     const Dataset& data, ObjectId target, std::span<const ObjectId> candidates,
-    const PreferenceModel& model, const MonteCarloOptions& options = {});
+    const PreferenceModel& model, const MonteCarloOptions& options = {},
+    const QueryBudget& budget = {});
 
 /// Convenience wrapper: all objects but the target.
 Result<MonteCarloResult> MonteCarloSkylineProbability(
     const Dataset& data, ObjectId target, const PreferenceModel& model,
-    const MonteCarloOptions& options = {});
+    const MonteCarloOptions& options = {}, const QueryBudget& budget = {});
 
 }  // namespace skypref
 

@@ -33,7 +33,8 @@ std::vector<std::size_t> LongestFirstOrder(
 Result<double> ParallelExactSkylineProbability(
     const Dataset& data, ObjectId target, const PreferenceModel& model,
     ThreadPool& pool, const ExactOptions& options,
-    const ParallelOptions& parallel, SolveStats* stats) {
+    const ParallelOptions& parallel, SolveStats* stats,
+    const QueryBudget& budget) {
   SKYPREF_RETURN_IF_ERROR(data.Validate());
 #if defined(SKYPREF_ENABLE_DCHECKS) && SKYPREF_ENABLE_DCHECKS
   SKYPREF_RETURN_IF_ERROR(model.Validate(data));
@@ -41,15 +42,10 @@ Result<double> ParallelExactSkylineProbability(
   if (target >= data.size()) {
     return Status::OutOfRange("target object out of range");
   }
+  SKYPREF_ASSIGN_OR_RETURN(const QueryBudget resolved, budget.Resolve());
   SolveStats local;
   std::vector<std::vector<ObjectId>> groups =
       CandidateGroups(data, target, /*preprocess=*/true, &local);
-
-  // ONE deadline for the whole query. Resolving time_limit_seconds per
-  // group solve (the previous behavior) let the total wall time reach
-  // groups x limit.
-  ExactOptions opts = options;
-  opts.deadline = internal::ResolveDeadline(options);
 
   const std::size_t group_count = groups.size();
   DoubleOracle oracle(model);
@@ -80,7 +76,7 @@ Result<double> ParallelExactSkylineProbability(
       instances[g] = std::move(built).value();
       engines[g] =
           std::make_unique<internal::ParallelExactEngine<DoubleOracle>>(
-              instances[g], opts, parallel.exact_tasks);
+              instances[g], options, parallel.exact_tasks, resolved);
       if (engines[g]->BuildTasks()) {
         for (std::size_t k = 0; k < engines[g]->task_count(); ++k) {
           auto* engine = engines[g].get();
@@ -91,8 +87,8 @@ Result<double> ParallelExactSkylineProbability(
       work.push_back([&, g] {
         ExactStats exact_stats;
         auto result = ExactSkylineProbability(
-            data, target, std::span<const ObjectId>(groups[g]), oracle, opts,
-            &exact_stats);
+            data, target, std::span<const ObjectId>(groups[g]), oracle, options,
+            &exact_stats, resolved);
         visited[g] = exact_stats.subsets_visited;
         if (result.ok()) {
           survival[g] = result.value();

@@ -32,13 +32,13 @@
 ///    stream of shared worlds under the same block contract, and
 ///    BatchExactSkylineProbabilities (solver.h) is its exact counterpart.
 ///
-/// Time limits: a multi-solve query computes ONE shared deadline up
-/// front (ExactOptions::deadline) and passes it to every group solve, so
-/// the total wall time honors options.time_limit_seconds once — not once
-/// per group, which previously allowed groups x limit overshoot.
+/// Time limits: the query's QueryBudget (src/util/cancel.h) is resolved
+/// once at entry and every group solve and subtree task polls that one
+/// deadline, so the total wall time honors the limit once — not once per
+/// group, which would allow groups x limit overshoot.
 ///
-/// Cancellation: ExactOptions::cancel is polled at task boundaries and
-/// at the same bounded in-task cadence as the deadline. A token
+/// Cancellation: the budget's token is polled at task boundaries and at
+/// the same bounded in-task cadence as the deadline. A token
 /// cancelled before the solve starts yields Status::Cancelled at every
 /// thread count (each task observes it at its boundary); a token
 /// cancelled mid-solve aborts every task still running, and the first
@@ -79,11 +79,13 @@ struct ParallelOptions {
 /// Det+ with longest-first parallel group solves and intra-group subtree
 /// parallelism for dominating groups. Same preprocessing as
 /// SkylineSolver::Exact; per-group survival factors multiply in partition
-/// order. Bit-identical for every thread count of \p pool.
+/// order. Bit-identical for every thread count of \p pool. \p budget
+/// bounds the whole query.
 Result<double> ParallelExactSkylineProbability(
     const Dataset& data, ObjectId target, const PreferenceModel& model,
     ThreadPool& pool, const ExactOptions& options = {},
-    const ParallelOptions& parallel = {}, SolveStats* stats = nullptr);
+    const ParallelOptions& parallel = {}, SolveStats* stats = nullptr,
+    const QueryBudget& budget = {});
 
 // -------------------------------------------------------------------------
 // Implementation: the intra-group parallel DFS engine
@@ -101,8 +103,8 @@ namespace internal {
 ///                              prefixes' own terms in creation order.
 ///   2. RunTask(k), k < task_count() — thread-compatible; each k exactly
 ///                              once, any order, any thread. Tasks charge
-///                              a shared atomic subset budget and observe
-///                              the shared deadline.
+///                              a shared atomic subset budget and poll
+///                              the query's resolved budget.
 ///   3. Reduce(stats)         — serial. Folds the per-task subtree totals
 ///                              into the prefix accumulator in task-
 ///                              creation order and returns the result (or
@@ -119,12 +121,14 @@ class ParallelExactEngine {
  public:
   using Num = typename Oracle::NumType;
 
-  /// The instance must outlive the engine. \p target_tasks >= 1.
+  /// The instance must outlive the engine. \p target_tasks >= 1;
+  /// \p budget is the query's resolved budget.
   ParallelExactEngine(const FlatInstance<Oracle>& instance,
-                      const ExactOptions& options, std::uint32_t target_tasks)
+                      const ExactOptions& options, std::uint32_t target_tasks,
+                      const QueryBudget& budget = {})
       : instance_(&instance),
         options_(options),
-        deadline_(ResolveDeadline(options)),
+        budget_(budget),
         target_tasks_(target_tasks > 0 ? target_tasks : 1) {}
 
   ParallelExactEngine(const ParallelExactEngine&) = delete;
@@ -133,12 +137,6 @@ class ParallelExactEngine {
   /// Phase 1; returns false when expansion already exhausted the budget
   /// or deadline (Reduce reports the error; tasks are then empty).
   bool BuildTasks() {
-    // Solve-boundary cancel check (the expansion's own poll runs only
-    // every 256 visits).
-    if (options_.cancel != nullptr && options_.cancel->cancelled()) {
-      build_status_ = CancelledStatus();
-      return false;
-    }
     build_status_ = Status::OK();
     prefix_acc_ = Accumulator<Num>();
     prefix_acc_.Add(Num(1));  // the k = 0 term of Eq. 4
@@ -217,7 +215,7 @@ class ParallelExactEngine {
       RecordAbort(failed);
       return;
     }
-    if (options_.cancel != nullptr && options_.cancel->cancelled()) {
+    if (budget_.cancelled()) {
       Status cancelled = CancelledStatus();
       task_statuses_[k] = cancelled;
       RecordAbort(cancelled);
@@ -310,12 +308,12 @@ class ParallelExactEngine {
       ctx.status = AbortStatus();
       return false;
     }
-    if (options_.cancel != nullptr && options_.cancel->cancelled()) {
+    if (budget_.cancelled()) {
       ctx.status = CancelledStatus();
       RecordAbort(ctx.status);
       return false;
     }
-    if (deadline_.Expired()) {
+    if (budget_.deadline.Expired()) {
       ctx.status = TimeLimitExhausted();
       RecordAbort(ctx.status);
       return false;
@@ -344,11 +342,11 @@ class ParallelExactEngine {
       return false;
     }
     if ((expansion_visited_ & 0xff) == 0) {
-      if (options_.cancel != nullptr && options_.cancel->cancelled()) {
+      if (budget_.cancelled()) {
         build_status_ = CancelledStatus();
         return false;
       }
-      if (deadline_.Expired()) {
+      if (budget_.deadline.Expired()) {
         build_status_ = TimeLimitExhausted();
         return false;
       }
@@ -375,7 +373,7 @@ class ParallelExactEngine {
 
   const FlatInstance<Oracle>* instance_;
   ExactOptions options_;
-  Deadline deadline_;
+  QueryBudget budget_;
   std::uint32_t target_tasks_;
 
   // Phase 1 state (serial).

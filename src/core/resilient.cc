@@ -9,6 +9,7 @@
 #include "src/core/monte_carlo.h"
 #include "src/core/oracles.h"
 #include "src/core/sam_bitslice.h"
+#include "src/core/sam_internal.h"
 #include "src/util/cancel.h"
 #include "src/util/check.h"
 #include "src/util/random.h"
@@ -32,7 +33,7 @@ std::vector<ExactAttempt> RunExactRung(
     const Dataset& data, ObjectId target,
     const std::vector<std::vector<ObjectId>>& groups,
     const PreferenceModel& model, const ExactOptions& exact_options,
-    ThreadPool& pool) {
+    const QueryBudget& budget, ThreadPool& pool) {
   std::vector<ExactAttempt> attempts(groups.size());
   std::vector<std::size_t> order(groups.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
@@ -45,7 +46,7 @@ std::vector<ExactAttempt> RunExactRung(
     DoubleOracle oracle(model);
     ExactStats stats;
     Result<double> result = ExactSkylineProbability(
-        data, target, groups[g], oracle, exact_options, &stats);
+        data, target, groups[g], oracle, exact_options, &stats, budget);
     attempts[g].subsets_visited = stats.subsets_visited;
     if (result.ok()) {
       attempts[g].value = *result;
@@ -60,18 +61,20 @@ std::vector<ExactAttempt> RunExactRung(
 // reaches this rung precisely because it is too big for Det+, so its
 // world blocks fan out over the pool — and the estimate is bit-identical
 // at every thread count, preserving the ladder's determinism contract.
-// Returns an error for cancellation and for options the engine rejects
-// (the caller then falls to rung 3); deadline truncation keeps the
+// Returns an error for cancellation and for a failure the engine reports
+// (an allocation failure, or a per-group share of epsilon too small to
+// count; the caller then falls to rung 3); deadline truncation keeps the
 // partial estimate at its widened Hoeffding bar.
 Result<GroupReport> RunSampledRung(const Dataset& data, ObjectId target,
                                    const std::vector<ObjectId>& group,
                                    const PreferenceModel& model,
                                    const MonteCarloOptions& mc_options,
-                                   ThreadPool& pool, SolveStats& stats) {
+                                   const QueryBudget& budget, ThreadPool& pool,
+                                   SolveStats& stats) {
   SKYPREF_ASSIGN_OR_RETURN(
       MonteCarloResult mc,
       BitSlicedMonteCarloSkylineProbability(data, target, group, model, pool,
-                                            mc_options));
+                                            mc_options, budget));
   stats.samples_drawn += mc.samples;
   stats.pair_draws += mc.pair_draws;
   GroupReport report;
@@ -110,6 +113,17 @@ Result<GroupReport> RunBoundedRung(const Dataset& data, ObjectId target,
   return report;
 }
 
+// The ladder's entry: the sampled rung's option rule (the bit-sliced
+// engine's, InvalidArgument), then the one budget of all three rungs.
+Result<QueryBudget> ResolveLadder(const SolverOptions& solver) {
+  SKYPREF_RETURN_IF_ERROR(
+      internal::ResolveSampling(solver.monte_carlo,
+                                MonteCarloOptions::Engine::kBitSliced,
+                                solver.budget)
+          .status());
+  return solver.budget.Resolve();
+}
+
 }  // namespace
 
 const char* GroupQualityToString(GroupQuality quality) {
@@ -131,21 +145,17 @@ Result<ResilientResult> ResilientSkylineProbability(
   if (target >= data.size()) {
     return Status::OutOfRange("target object out of range");
   }
-  const CancelToken* cancel = options.solver.exact.cancel;
-  if (cancel != nullptr && cancel->cancelled()) return CancelledStatus();
-
-  // ONE deadline governs every rung of this query.
-  Deadline deadline = internal::ResolveDeadline(options.solver.exact);
+  // ONE budget governs every rung of this query.
+  SKYPREF_ASSIGN_OR_RETURN(const QueryBudget budget,
+                           ResolveLadder(options.solver));
 
   ResilientResult result;
   std::vector<std::vector<ObjectId>> groups = CandidateGroups(
       data, target, options.solver.preprocess, &result.stats);
 
   // Rung 1: exact attempt on every group under the shared budget.
-  ExactOptions exact_options = options.solver.exact;
-  exact_options.deadline = deadline;
-  std::vector<ExactAttempt> attempts =
-      RunExactRung(data, target, groups, model, exact_options, pool);
+  std::vector<ExactAttempt> attempts = RunExactRung(
+      data, target, groups, model, options.solver.exact, budget, pool);
 
   // Cancellation and genuine errors (bad input) abort the ladder; only
   // ResourceExhausted is degradable. Scanned in partition order so the
@@ -175,8 +185,6 @@ Result<ResilientResult> ResilientSkylineProbability(
       mc_options.delta =
           options.solver.monte_carlo.delta / static_cast<double>(exhausted);
     }
-    if (!mc_options.deadline.has_value()) mc_options.deadline = deadline;
-    mc_options.cancel = cancel;
   }
   Rng seeder(options.solver.monte_carlo.seed);
 
@@ -190,41 +198,28 @@ Result<ResilientResult> ResilientSkylineProbability(
       report.lower = ClampProbability(attempts[g].value);
       report.upper = report.lower;
     } else {
-      report.exact_status = attempts[g].status;
-      if (cancel != nullptr && cancel->cancelled()) return CancelledStatus();
+      if (budget.cancelled()) return CancelledStatus();
       // The sampled rung needs wall time; once the query deadline is
       // spent, go straight to the certified interval (cheap and
-      // deterministic). An unusable sampling configuration falls the
-      // same way — only cancellation aborts.
-      bool try_sampling = !deadline.Expired();
-      bool sampled = false;
-      if (try_sampling) {
+      // deterministic). A sampled group the engine fails falls the same
+      // way — only cancellation aborts.
+      Result<GroupReport> rung = Status::ResourceExhausted("deadline spent");
+      if (!budget.deadline.Expired()) {
         MonteCarloOptions per_group = mc_options;
         per_group.seed = seeder.Fork();
-        Result<GroupReport> rung = RunSampledRung(data, target, groups[g],
-                                                  model, per_group, pool,
-                                                  result.stats);
-        if (rung.ok()) {
-          report.quality = rung->quality;
-          report.survival = rung->survival;
-          report.lower = rung->lower;
-          report.upper = rung->upper;
-          report.epsilon = rung->epsilon;
-          report.delta = rung->delta;
-          report.samples = rung->samples;
-          sampled = true;
-        } else if (rung.status().code() == StatusCode::kCancelled) {
+        rung = RunSampledRung(data, target, groups[g], model, per_group,
+                              budget, pool, result.stats);
+        if (rung.status().code() == StatusCode::kCancelled) {
           return rung.status();
         }
       }
-      if (!sampled) {
-        SKYPREF_ASSIGN_OR_RETURN(
-            GroupReport rung,
-            RunBoundedRung(data, target, groups[g], model, options.bounds));
-        rung.size = report.size;
-        rung.exact_status = report.exact_status;
-        report = rung;
+      if (!rung.ok()) {
+        rung = RunBoundedRung(data, target, groups[g], model, options.bounds);
+        SKYPREF_RETURN_IF_ERROR(rung.status());
       }
+      report = std::move(rung).value();
+      report.size = groups[g].size();
+      report.exact_status = attempts[g].status;
       result.fully_exact = false;
     }
     result.groups.push_back(std::move(report));
@@ -261,10 +256,15 @@ Result<ResilientResult> ResilientSkylineProbability(
 Result<ResilientBatchResult> ResilientBatchSkylineProbabilities(
     const Dataset& data, const PreferenceModel& model, ThreadPool& pool,
     const ResilientOptions& options) {
+  // One budget for the batch and every salvage ladder: each call below
+  // re-resolves the resolved budget, which keeps its deadline.
+  ResilientOptions resolved = options;
+  SKYPREF_ASSIGN_OR_RETURN(resolved.solver.budget,
+                           ResolveLadder(options.solver));
   ResilientBatchResult batch;
   SKYPREF_ASSIGN_OR_RETURN(
       batch.estimates,
-      BatchExactSkylineProbabilities(data, model, pool, options.solver,
+      BatchExactSkylineProbabilities(data, model, pool, resolved.solver,
                                      &batch.batch_stats));
   std::size_t targets = batch.estimates.size();
   batch.quality.assign(targets, GroupQuality::kExact);
@@ -277,7 +277,7 @@ Result<ResilientBatchResult> ResilientBatchSkylineProbabilities(
     SKYPREF_ASSIGN_OR_RETURN(
         ResilientResult salvaged,
         ResilientSkylineProbability(data, static_cast<ObjectId>(t), model,
-                                    pool, options));
+                                    pool, resolved));
     batch.estimates[t] = salvaged.estimate;
     batch.epsilons[t] = salvaged.epsilon;
     batch.deltas[t] = salvaged.delta;

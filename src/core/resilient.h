@@ -19,7 +19,9 @@
 ///    solver.h (|prod a - prod b| <= sum |a_t - b_t| for factors in
 ///    [0,1]) caps the recombined error by the SUM of per-group epsilons.
 ///
-/// Ladder per independence group, under ONE shared query deadline:
+/// Ladder per independence group, under ONE query budget
+/// (solver.budget, resolved once at entry; its deadline and token govern
+/// all three rungs):
 ///
 ///   rung 1  Det   — the exact engine with the caller's subset budget.
 ///   rung 2  Sam   — for groups whose exact solve exhausted: the
@@ -29,13 +31,19 @@
 ///                   exhausted groups. A deadline-truncated sample
 ///                   keeps its partial estimate at the widened
 ///                   HoeffdingEpsilon(achieved_samples, delta) bar.
-///   rung 3  bounds — when the deadline is already spent (or Sam cannot
-///                   run, e.g. for a solver.monte_carlo.block_size that
-///                   is not a multiple of 64): the certified Bonferroni
-///                   interval of
-///                   bounds.h, whose midpoint enters the product and
-///                   whose half-width enters the error bar. Level 0
-///                   ([0, 1]) always exists, so this rung cannot fail.
+///   rung 3  bounds — when the deadline is already spent (or the engine
+///                   fails the group, e.g. on an allocation failure):
+///                   the certified Bonferroni interval of bounds.h,
+///                   whose midpoint enters the product and whose
+///                   half-width enters the error bar. Level 0 ([0, 1])
+///                   always exists, so this rung cannot fail.
+///
+/// solver.monte_carlo must pass the bit-sliced engine's option rule
+/// (internal::ResolveSampling: finite epsilon and delta for a derived
+/// count, a block_size that is a positive multiple of 64, no saturated
+/// count) even when no group exhausts; otherwise the ladder returns
+/// InvalidArgument at entry instead of falling to rung 3 without saying
+/// why.
 ///
 /// The result annotates every group with the rung that answered it and
 /// recombines: estimate = prod survival_t, error bar = sum epsilon_t,
@@ -44,7 +52,7 @@
 /// options, at every thread count of the pool — the ladder costs
 /// nothing until the moment it is needed.
 ///
-/// Cancellation (solver.exact.cancel, which every rung polls) is
+/// Cancellation (solver.budget.cancel, which every rung polls) is
 /// different from exhaustion: it means the answer is no longer wanted,
 /// aborts the whole ladder, and returns Status::Cancelled.
 
@@ -115,11 +123,11 @@ struct ResilientResult {
 };
 
 struct ResilientOptions {
-  /// Preprocessing toggle and the rung-1 exact budget (solver.exact,
-  /// whose cancel token cancels every rung) and rung-2 sampling budget
-  /// (solver.monte_carlo: epsilon and delta are the TOTAL fallback
-  /// budget, split evenly over the groups that exhaust; seed forks per
-  /// sampled group; its engine and cancel fields are not read).
+  /// Preprocessing toggle, the rung-1 subset budget (solver.exact), the
+  /// rung-2 sampling budget (solver.monte_carlo: epsilon and delta are
+  /// the TOTAL fallback budget, split evenly over the groups that
+  /// exhaust; seed forks per sampled group; its engine field is not
+  /// read) and the query budget of all three rungs (solver.budget).
   SolverOptions solver;
   /// Rung 3: the certified-interval budget. The defaults keep the rung
   /// cheap — level <= 2 costs at most |group|^2 / 2 terms.
@@ -144,7 +152,9 @@ Result<ResilientResult> ResilientSkylineProbability(
 /// re-answers every target the batch had to fail (per its
 /// BatchExactStats::target_status) through the ladder. Every target gets
 /// a finite estimate; targets the batch solved keep their bit-identical
-/// exact values.
+/// exact values. solver.budget bounds the whole call: the batch and
+/// every salvage ladder share its one deadline, so a target salvaged
+/// after the deadline answers from the certified interval.
 struct ResilientBatchResult {
   std::vector<double> estimates;      ///< finite for every target
   std::vector<GroupQuality> quality;  ///< worst rung used per target

@@ -143,11 +143,12 @@ std::uint64_t SampleChunk(const FlatSamInstance& inst, SliceState& state,
 Result<MonteCarloResult> BitSlicedMonteCarloSkylineProbability(
     const Dataset& data, ObjectId target, std::span<const ObjectId> candidates,
     const PreferenceModel& model, ThreadPool& pool,
-    const MonteCarloOptions& options) {
+    const MonteCarloOptions& options, const QueryBudget& budget) {
   SKYPREF_ASSIGN_OR_RETURN(
       internal::SamRequest request,
       internal::PrepareSamRequest(data, target, candidates, model, options,
-                                  MonteCarloOptions::Engine::kBitSliced));
+                                  MonteCarloOptions::Engine::kBitSliced,
+                                  budget));
   SKYPREF_ASSIGN_OR_RETURN(
       FlatSamInstance inst, TryAlloc("alloc.sam.instance", [&] {
         return PruneImpossible(internal::BuildFlatInstance(
@@ -175,10 +176,11 @@ Result<MonteCarloResult> BitSlicedMonteCarloSkylineProbability(
 
 Result<MonteCarloResult> BitSlicedMonteCarloSkylineProbability(
     const Dataset& data, ObjectId target, const PreferenceModel& model,
-    ThreadPool& pool, const MonteCarloOptions& options) {
+    ThreadPool& pool, const MonteCarloOptions& options,
+    const QueryBudget& budget) {
   return BitSlicedMonteCarloSkylineProbability(
       data, target, AllObjectsExcept(data.size(), target), model, pool,
-      options);
+      options, budget);
 }
 
 // -------------------------------------------------------------------------
@@ -214,8 +216,8 @@ Result<std::vector<double>> BatchMonteCarloSkylineProbabilities(
       std::vector<std::uint64_t>(n, 0));
   std::vector<internal::BlockOutcome> outcomes;
   SKYPREF_RETURN_IF_ERROR(internal::RunDeterministicBlocks(
-      pool, run.samples, mc.block_size, /*chunk=*/64, mc.seed, run.deadline,
-      mc.cancel, outcomes, [&](std::uint64_t b) {
+      pool, run.samples, mc.block_size, /*chunk=*/64, mc.seed, run.budget,
+      outcomes, [&](std::uint64_t b) {
         return [&plan, counts = survived[b].data(), n,
                 state = internal::BatchSliceState(plan.pair_count())](
                    Rng& rng, std::uint64_t step, std::uint64_t* draws) mutable {

@@ -68,16 +68,18 @@ namespace skypref {
 /// Bit-identical for every thread count of \p pool (including an inline
 /// 0-thread pool), per (options.seed, options.block_size). Requires
 /// options.block_size >= 64 and a multiple of 64; options.engine is
-/// ignored (this IS the kBitSliced engine).
+/// ignored (this IS the kBitSliced engine). \p budget is resolved at
+/// entry, as in MonteCarloSkylineProbability.
 Result<MonteCarloResult> BitSlicedMonteCarloSkylineProbability(
     const Dataset& data, ObjectId target, std::span<const ObjectId> candidates,
     const PreferenceModel& model, ThreadPool& pool,
-    const MonteCarloOptions& options = {});
+    const MonteCarloOptions& options = {}, const QueryBudget& budget = {});
 
 /// Convenience wrapper: all objects but the target.
 Result<MonteCarloResult> BitSlicedMonteCarloSkylineProbability(
     const Dataset& data, ObjectId target, const PreferenceModel& model,
-    ThreadPool& pool, const MonteCarloOptions& options = {});
+    ThreadPool& pool, const MonteCarloOptions& options = {},
+    const QueryBudget& budget = {});
 
 }  // namespace skypref
 

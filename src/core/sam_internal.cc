@@ -14,17 +14,18 @@
 namespace skypref {
 namespace internal {
 
-Status ResolveSampling(const MonteCarloOptions& options,
-                       MonteCarloOptions::Engine engine,
-                       std::uint64_t& samples, Deadline& deadline) {
+Result<std::uint64_t> ResolveSampling(const MonteCarloOptions& options,
+                                      MonteCarloOptions::Engine engine,
+                                      const QueryBudget& budget) {
   if (options.samples == 0 &&
       !(std::isfinite(options.epsilon) && std::isfinite(options.delta))) {
     return Status::InvalidArgument(
         "Monte Carlo needs finite epsilon and delta to derive a sample count");
   }
-  samples = options.samples != 0
-                ? options.samples
-                : HoeffdingSampleSize(options.epsilon, options.delta);
+  const std::uint64_t samples =
+      options.samples != 0
+          ? options.samples
+          : HoeffdingSampleSize(options.epsilon, options.delta);
   if (samples == 0) {
     return Status::InvalidArgument(
         "Monte Carlo needs samples > 0 (or valid epsilon/delta)");
@@ -33,7 +34,7 @@ Status ResolveSampling(const MonteCarloOptions& options,
   // A count saturated at UINT64_MAX never completes: the pooled engines
   // cannot even count its blocks, and kSerial stops only at a deadline.
   const bool bounded =
-      options.deadline.has_value() || options.time_limit_seconds > 0.0;
+      budget.deadline.has_value() || budget.time_limit_seconds > 0.0;
   if (samples == std::numeric_limits<std::uint64_t>::max() &&
       (engine != Engine::kSerial || !bounded)) {
     return Status::InvalidArgument(
@@ -48,11 +49,7 @@ Status ResolveSampling(const MonteCarloOptions& options,
     return Status::InvalidArgument(
         "bit-sliced engine needs block_size a positive multiple of 64");
   }
-  deadline = ResolveDeadline(options);
-  if (options.cancel != nullptr && options.cancel->cancelled()) {
-    return CancelledStatus();
-  }
-  return Status::OK();
+  return samples;
 }
 
 namespace {
@@ -106,11 +103,13 @@ Result<SamRequest> PrepareSamRequest(const Dataset& data, ObjectId target,
                                      std::span<const ObjectId> candidates,
                                      const PreferenceModel& model,
                                      const MonteCarloOptions& options,
-                                     MonteCarloOptions::Engine engine) {
+                                     MonteCarloOptions::Engine engine,
+                                     const QueryBudget& budget) {
   SKYPREF_RETURN_IF_ERROR(ValidateCandidates(data.size(), target, candidates));
   SamRequest request;
-  SKYPREF_RETURN_IF_ERROR(
-      ResolveSampling(options, engine, request.samples, request.deadline));
+  SKYPREF_ASSIGN_OR_RETURN(request.samples,
+                           ResolveSampling(options, engine, budget));
+  SKYPREF_ASSIGN_OR_RETURN(request.budget, budget.Resolve());
 
   // Algorithm 2 line 1: sort the checking sequence by dominance
   // probability, once, shared by every world.
@@ -249,9 +248,11 @@ Result<BatchSamRun> PrepareBatchSam(const Dataset& data,
   SKYPREF_RETURN_IF_ERROR(data.Validate());
   SKYPREF_RETURN_IF_ERROR(model.Validate(data));
   BatchSamRun run;
-  SKYPREF_RETURN_IF_ERROR(ResolveSampling(options.monte_carlo,
-                                          MonteCarloOptions::Engine::kBitSliced,
-                                          run.samples, run.deadline));
+  SKYPREF_ASSIGN_OR_RETURN(
+      run.samples,
+      ResolveSampling(options.monte_carlo,
+                      MonteCarloOptions::Engine::kBitSliced, options.budget));
+  SKYPREF_ASSIGN_OR_RETURN(run.budget, options.budget.Resolve());
   run.stats.requested_samples = run.samples;
   // Absorption is pure win for the sampler too — an absorbed candidate's
   // dominance event is contained in its absorber's, so dropping it

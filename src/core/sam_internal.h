@@ -53,7 +53,7 @@ inline constexpr std::uint64_t kPairDrawPollStride = 8192;
 struct SamRequest {
   std::uint64_t samples = 0;       // options.samples, or the Hoeffding count
   std::vector<ObjectId> ordered;   // checking sequence (Algorithm 2 line 1)
-  Deadline deadline;               // one deadline for the whole estimate
+  QueryBudget budget;              // resolved at the engine's entry
 };
 
 /// The option rule every Sam engine applies, under \p engine's name: the
@@ -61,22 +61,25 @@ struct SamRequest {
 /// derived count needs finite epsilon and delta; kBlock needs
 /// block_size >= 1, kBitSliced a positive multiple of 64, and both a
 /// finite count — a count saturated at UINT64_MAX only the kSerial loop
-/// can run, and only when a deadline or time limit stops it), then the
-/// deadline and the pre-cancel check (Cancelled). Sets \p samples and
-/// \p deadline. Shared by both front ends below and by Sam+'s facade,
-/// which checks a query once even when no group needs sampling.
-Status ResolveSampling(const MonteCarloOptions& options,
-                       MonteCarloOptions::Engine engine,
-                       std::uint64_t& samples, Deadline& deadline);
+/// can run, and only when \p budget has a deadline or time limit to stop
+/// it). Returns the sample count. Shared by both front ends below, by
+/// Sam+'s facade, which checks a query once even when no group needs
+/// sampling, and by the resilient ladder, which checks its sampled rung
+/// at entry.
+Result<std::uint64_t> ResolveSampling(const MonteCarloOptions& options,
+                                      MonteCarloOptions::Engine engine,
+                                      const QueryBudget& budget);
 
 /// The front end of the three single-target engines, each naming itself
-/// as \p engine: ValidateCandidates (dominance.h), ResolveSampling, then
-/// the dominance-sorted checking sequence.
+/// as \p engine: ValidateCandidates (dominance.h), ResolveSampling, the
+/// budget's Resolve (Cancelled), then the dominance-sorted checking
+/// sequence.
 Result<SamRequest> PrepareSamRequest(const Dataset& data, ObjectId target,
                                      std::span<const ObjectId> candidates,
                                      const PreferenceModel& model,
                                      const MonteCarloOptions& options,
-                                     MonteCarloOptions::Engine engine);
+                                     MonteCarloOptions::Engine engine,
+                                     const QueryBudget& budget);
 
 // -------------------------------------------------------------------------
 // The single-target world walk
@@ -254,13 +257,14 @@ inline std::uint64_t BatchChunkSurvivors(const BatchPlan& plan,
 /// A validated and planned batch Sam query, ready for its world loop.
 struct BatchSamRun {
   std::uint64_t samples = 0;
-  Deadline deadline;
+  QueryBudget budget;  // options.budget, resolved before the plan
   BatchPlan plan;
   BatchSamStats stats;  // preprocessing fields and requested_samples
 };
 
 /// The front end of batch Sam: data and model validation,
-/// ResolveSampling under kBitSliced's rules, then the plan — Phase A over \p pool (PartitionAllTargets, honoring
+/// ResolveSampling under kBitSliced's rules, options.budget's Resolve,
+/// then the plan — Phase A over \p pool (PartitionAllTargets, honoring
 /// options.preprocess) and BuildBatchPlan.
 Result<BatchSamRun> PrepareBatchSam(const Dataset& data,
                                     const PreferenceModel& model,
@@ -319,13 +323,13 @@ inline std::uint64_t BlockCount(std::uint64_t samples,
 /// every world); the bit-sliced walks, single-target and batch, pass
 /// chunk = 64 (one mask word per call, polls after every word).
 /// Deterministic per (seed, block_size, chunk) at every thread count; see
-/// sam_parallel.h for the truncation contract. Returns Cancelled when any
-/// block observes a tripped token.
+/// sam_parallel.h for the truncation contract. \p budget is the query's
+/// resolved budget; returns Cancelled when any block observes its
+/// tripped token.
 template <typename MakeBlockFn>
 Status RunDeterministicBlocks(ThreadPool& pool, std::uint64_t samples,
                               std::uint64_t block_size, std::uint64_t chunk,
-                              std::uint64_t seed, const Deadline& deadline,
-                              const CancelToken* cancel,
+                              std::uint64_t seed, const QueryBudget& budget,
                               std::vector<BlockOutcome>& outcomes,
                               MakeBlockFn&& make_block) {
   const std::uint64_t num_blocks = BlockCount(samples, block_size);
@@ -370,11 +374,11 @@ Status RunDeterministicBlocks(ThreadPool& pool, std::uint64_t samples,
            out.draws - draws_at_last_poll >= kPairDrawPollStride) &&
           out.achieved < want) {
         draws_at_last_poll = out.draws;
-        if (cancel != nullptr && cancel->cancelled()) {
+        if (budget.cancelled()) {
           cancelled.store(true, std::memory_order_relaxed);
           return;
         }
-        if (deadline.Expired()) {
+        if (budget.deadline.Expired()) {
           std::uint64_t cur = first_stop.load(std::memory_order_relaxed);
           while (b < cur && !first_stop.compare_exchange_weak(
                                 cur, b, std::memory_order_relaxed)) {
@@ -411,7 +415,7 @@ Result<MonteCarloResult> RunSamBlocks(ThreadPool& pool,
   std::vector<BlockOutcome> outcomes;
   SKYPREF_RETURN_IF_ERROR(RunDeterministicBlocks(
       pool, request.samples, options.block_size, chunk, options.seed,
-      request.deadline, options.cancel, outcomes, [&](std::uint64_t b) {
+      request.budget, outcomes, [&](std::uint64_t b) {
         return [world = make_world(), hits = &survived[b]](
                    Rng& rng, std::uint64_t step,
                    std::uint64_t* draws) mutable {

@@ -16,11 +16,11 @@ namespace skypref {
 Result<MonteCarloResult> BlockMonteCarloSkylineProbability(
     const Dataset& data, ObjectId target, std::span<const ObjectId> candidates,
     const PreferenceModel& model, ThreadPool& pool,
-    const MonteCarloOptions& options) {
+    const MonteCarloOptions& options, const QueryBudget& budget) {
   SKYPREF_ASSIGN_OR_RETURN(
       internal::SamRequest request,
       internal::PrepareSamRequest(data, target, candidates, model, options,
-                                  MonteCarloOptions::Engine::kBlock));
+                                  MonteCarloOptions::Engine::kBlock, budget));
   SKYPREF_ASSIGN_OR_RETURN(
       internal::FlatSamInstance inst, TryAlloc("alloc.sam.instance", [&] {
         return internal::BuildFlatInstance(
@@ -40,10 +40,11 @@ Result<MonteCarloResult> BlockMonteCarloSkylineProbability(
 
 Result<MonteCarloResult> BlockMonteCarloSkylineProbability(
     const Dataset& data, ObjectId target, const PreferenceModel& model,
-    ThreadPool& pool, const MonteCarloOptions& options) {
+    ThreadPool& pool, const MonteCarloOptions& options,
+    const QueryBudget& budget) {
   return BlockMonteCarloSkylineProbability(
       data, target, AllObjectsExcept(data.size(), target), model, pool,
-      options);
+      options, budget);
 }
 
 }  // namespace skypref

@@ -89,16 +89,18 @@ namespace skypref {
 /// Bit-identical for every thread count of \p pool (including an inline
 /// 0-thread pool), per (options.seed, options.block_size). Requires
 /// options.block_size >= 1; options.engine is ignored (this IS the
-/// kBlock engine).
+/// kBlock engine). \p budget is resolved at entry, as in
+/// MonteCarloSkylineProbability.
 Result<MonteCarloResult> BlockMonteCarloSkylineProbability(
     const Dataset& data, ObjectId target, std::span<const ObjectId> candidates,
     const PreferenceModel& model, ThreadPool& pool,
-    const MonteCarloOptions& options = {});
+    const MonteCarloOptions& options = {}, const QueryBudget& budget = {});
 
 /// Convenience wrapper: all objects but the target.
 Result<MonteCarloResult> BlockMonteCarloSkylineProbability(
     const Dataset& data, ObjectId target, const PreferenceModel& model,
-    ThreadPool& pool, const MonteCarloOptions& options = {});
+    ThreadPool& pool, const MonteCarloOptions& options = {},
+    const QueryBudget& budget = {});
 
 /// Diagnostics of one batch all-objects estimation.
 struct BatchSamStats : BatchPreprocessStats {
@@ -124,12 +126,13 @@ struct BatchSamStats : BatchPreprocessStats {
 /// sky(target) for EVERY object by shared-world block sampling (layer 3
 /// above). Element i estimates sky(i) within options.monte_carlo's
 /// (epsilon, delta) marginally. Deterministic per (seed, block_size) and
-/// bit-identical for every thread count of \p pool; deadline truncation
-/// keeps the block-prefix estimates with stats->truncated set. The world
-/// loop is always the bit-sliced one, so options.monte_carlo.block_size
-/// must be a positive multiple of 64 and options.monte_carlo.engine is
-/// ignored. options.exact is unused; options.preprocess toggles
-/// absorption + partition exactly as in the exact batch solver.
+/// bit-identical for every thread count of \p pool; options.budget is
+/// resolved once for the whole batch, and deadline truncation keeps the
+/// block-prefix estimates with stats->truncated set. The world loop is
+/// always the bit-sliced one, so options.monte_carlo.block_size must be a
+/// positive multiple of 64 and options.monte_carlo.engine is ignored.
+/// options.exact is unused; options.preprocess toggles absorption +
+/// partition exactly as in the exact batch solver.
 Result<std::vector<double>> BatchMonteCarloSkylineProbabilities(
     const Dataset& data, const PreferenceModel& model, ThreadPool& pool,
     const SolverOptions& options = {}, BatchSamStats* stats = nullptr);

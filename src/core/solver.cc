@@ -36,40 +36,43 @@ Result<MonteCarloResult> RunSamEngine(const Dataset& data, ObjectId target,
                                       std::span<const ObjectId> candidates,
                                       const PreferenceModel& model,
                                       ThreadPool* pool,
-                                      const MonteCarloOptions& options) {
+                                      const MonteCarloOptions& options,
+                                      const QueryBudget& budget) {
   using Engine = MonteCarloOptions::Engine;
   if (options.engine == Engine::kSerial) {
     return MonteCarloSkylineProbability(data, target, candidates, model,
-                                        options);
+                                        options, budget);
   }
   if (pool == nullptr) {
     ThreadPool inline_pool(0);
     return RunSamEngine(data, target, candidates, model, &inline_pool,
-                        options);
+                        options, budget);
   }
   if (options.engine == Engine::kBlock) {
     return BlockMonteCarloSkylineProbability(data, target, candidates, model,
-                                             *pool, options);
+                                             *pool, options, budget);
   }
   return BitSlicedMonteCarloSkylineProbability(data, target, candidates,
-                                               model, *pool, options);
+                                               model, *pool, options, budget);
 }
 
-/// Target t's exact value: the product of its groups' solves (Theorem 4),
-/// adding the subsets visited to \p visited. Det+ and batch Det+'s Phase C
-/// solve through the model's or the shared cache's oracle, the retry pass
-/// through the plain oracle.
+/// Target t's exact value: the product of its groups' solves (Theorem 4)
+/// under the query's resolved \p budget, adding the subsets visited to
+/// \p visited. Det+ and batch Det+'s Phase C solve through the model's or
+/// the shared cache's oracle, the retry pass through the plain oracle.
 template <typename Oracle>
 Result<double> SolveTargetGroups(const Dataset& data, ObjectId t,
                                  const internal::TargetGroups& groups,
                                  const Oracle& oracle,
                                  const ExactOptions& exact,
+                                 const QueryBudget& budget,
                                  std::uint64_t* visited) {
   double product = 1.0;
   for (const auto& group : groups) {
     ExactStats exact_stats;
-    auto result = ExactSkylineProbability(
-        data, t, std::span<const ObjectId>(group), oracle, exact, &exact_stats);
+    auto result =
+        ExactSkylineProbability(data, t, std::span<const ObjectId>(group),
+                                oracle, exact, &exact_stats, budget);
     *visited += exact_stats.subsets_visited;
     SKYPREF_RETURN_IF_ERROR(result.status());
     SKYPREF_DCHECK_PROB(result.value());
@@ -123,16 +126,15 @@ Result<double> SkylineSolver::Exact(ObjectId target,
   if (target >= data_->size()) {
     return Status::OutOfRange("target object out of range");
   }
-  // ONE deadline for the whole query (see ExactOptions::deadline).
-  ExactOptions exact = options.exact;
-  exact.deadline = internal::ResolveDeadline(exact);
+  SKYPREF_ASSIGN_OR_RETURN(const QueryBudget budget, options.budget.Resolve());
   SolveStats local;
   SKYPREF_ASSIGN_OR_RETURN(
       double result,
       SolveTargetGroups(*data_, target,
                         CandidateGroups(*data_, target, options.preprocess,
                                         &local),
-                        DoubleOracle(*model_), exact, &local.subsets_visited));
+                        DoubleOracle(*model_), options.exact, budget,
+                        &local.subsets_visited));
   if (stats != nullptr) *stats = local;
   return result;
 }
@@ -159,13 +161,13 @@ Result<double> SkylineSolver::MonteCarloImpl(ObjectId target,
   }
   // The engines' own option rule, checked once for the whole query: a
   // query whose groups are all singletons (answered in closed form below)
-  // rejects the same options as one that samples. It also resolves ONE
-  // deadline for the whole query, as in Exact: every sampled group
-  // truncates against it.
-  std::uint64_t samples = 0;
-  Deadline deadline;
-  SKYPREF_RETURN_IF_ERROR(internal::ResolveSampling(
-      options.monte_carlo, options.monte_carlo.engine, samples, deadline));
+  // rejects the same options as one that samples. Then the budget, as in
+  // Exact: every sampled group truncates against its one deadline.
+  SKYPREF_RETURN_IF_ERROR(internal::ResolveSampling(options.monte_carlo,
+                                                    options.monte_carlo.engine,
+                                                    options.budget)
+                              .status());
+  SKYPREF_ASSIGN_OR_RETURN(const QueryBudget budget, options.budget.Resolve());
   SolveStats local;
   std::vector<std::vector<ObjectId>> groups =
       CandidateGroups(*data_, target, options.preprocess, &local);
@@ -185,7 +187,6 @@ Result<double> SkylineSolver::MonteCarloImpl(ObjectId target,
   if (!sampled_groups.empty()) {
     // Split the error budget across the sampled groups (see file comment).
     MonteCarloOptions per_group = options.monte_carlo;
-    per_group.deadline = deadline;
     if (per_group.samples == 0) {
       double share = static_cast<double>(sampled_groups.size());
       per_group.epsilon = options.monte_carlo.epsilon / share;
@@ -197,7 +198,8 @@ Result<double> SkylineSolver::MonteCarloImpl(ObjectId target,
           options.preprocess ? seeder.Fork() : options.monte_carlo.seed;
       SKYPREF_ASSIGN_OR_RETURN(
           MonteCarloResult mc,
-          RunSamEngine(*data_, target, *group, *model_, pool, per_group));
+          RunSamEngine(*data_, target, *group, *model_, pool, per_group,
+                       budget));
       local.samples_drawn += mc.samples;
       local.pair_draws += mc.pair_draws;
       SKYPREF_DCHECK_PROB(mc.estimate);
@@ -335,10 +337,7 @@ Result<std::vector<double>> BatchExactSkylineProbabilities(
   const std::size_t n = data.size();
 
   BatchExactStats local;
-
-  // ONE deadline for the whole batch (see ExactOptions::deadline).
-  ExactOptions exact = options.exact;
-  exact.deadline = internal::ResolveDeadline(exact);
+  SKYPREF_ASSIGN_OR_RETURN(const QueryBudget budget, options.budget.Resolve());
 
   // Phase A: absorption + partition per target, sharing the global
   // posting lists. A target whose allocation fails keeps its Status in
@@ -406,15 +405,15 @@ Result<std::vector<double>> BatchExactSkylineProbabilities(
       statuses[t] = Status::ResourceExhausted("failpoint batch.target");
       return;
     }
-    if (exact.cancel != nullptr && exact.cancel->cancelled()) {
+    if (budget.cancelled()) {
       statuses[t] = CancelledStatus();
       return;
     }
     // Phase A could not build this target's partition; an empty
     // groups[t] would silently solve to probability 1.0.
     if (!statuses[t].ok()) return;
-    auto solved =
-        SolveTargetGroups(data, t, groups[t], cached, exact, &visited[t]);
+    auto solved = SolveTargetGroups(data, t, groups[t], cached, options.exact,
+                                    budget, &visited[t]);
     if (solved.ok()) {
       results[t] = *solved;
     } else {
@@ -434,8 +433,7 @@ Result<std::vector<double>> BatchExactSkylineProbabilities(
   //  * targets that already succeeded are never touched.
   for (ObjectId t = 0; t < n; ++t) {
     if (statuses[t].ok() || !TransientFailure(statuses[t])) continue;
-    if (exact.cancel != nullptr && exact.cancel->cancelled()) break;
-    if (exact.deadline.has_value() && exact.deadline.Expired()) break;
+    if (budget.cancelled() || budget.deadline.Expired()) break;
     ++local.retried_targets;
     // The retry dispatch has its own failpoint so chaos schedules can
     // fail the salvage itself (a double fault must still stamp NaN
@@ -457,8 +455,8 @@ Result<std::vector<double>> BatchExactSkylineProbabilities(
       groups[t] = std::move(rebuilt).value();
       phase_a.status[t] = Status::OK();
     }
-    auto solved =
-        SolveTargetGroups(data, t, groups[t], oracle, exact, &visited[t]);
+    auto solved = SolveTargetGroups(data, t, groups[t], oracle, options.exact,
+                                    budget, &visited[t]);
     if (solved.ok()) {
       results[t] = *solved;
       statuses[t] = Status::OK();
@@ -515,19 +513,18 @@ Result<double> ExpectedSkylineCardinality(const Dataset& data,
 
 Result<Rational> ExactSkylineProbabilityRational(
     const Dataset& data, ObjectId target, const RationalPreferenceModel& model,
-    bool preprocess, const ExactOptions& options) {
+    bool preprocess, const ExactOptions& options, const QueryBudget& budget) {
   if (target >= data.size()) {
     return Status::OutOfRange("target object out of range");
   }
-  // ONE deadline for the whole query (see ExactOptions::deadline).
-  ExactOptions exact = options;
-  exact.deadline = internal::ResolveDeadline(options);
+  SKYPREF_ASSIGN_OR_RETURN(const QueryBudget resolved, budget.Resolve());
   RationalOracle oracle(model);
   Rational result(1);
   for (const auto& group : CandidateGroups(data, target, preprocess)) {
     SKYPREF_ASSIGN_OR_RETURN(
         Rational group_prob,
-        ExactSkylineProbability(data, target, group, oracle, exact));
+        ExactSkylineProbability(data, target, group, oracle, options,
+                                /*stats=*/nullptr, resolved));
     result = result * group_prob;
   }
   return result;

@@ -16,6 +16,11 @@
 /// sum_t eps_t (telescoping |prod a - prod b| <= sum |a_t - b_t|). Sam+
 /// therefore splits epsilon and delta evenly across the groups it
 /// actually samples; singleton groups are computed exactly for free.
+///
+/// Time limit and cancellation: every entry point below resolves its
+/// QueryBudget (src/util/cancel.h) once, after rejecting invalid
+/// arguments, so every group solve, target and retry polls one deadline
+/// and token; a pre-cancelled token returns Cancelled.
 
 #include <cstdint>
 #include <optional>
@@ -29,6 +34,7 @@
 #include "src/model/dataset.h"
 #include "src/model/preference_model.h"
 #include "src/model/types.h"
+#include "src/util/cancel.h"
 #include "src/util/rational.h"
 #include "src/util/status.h"
 #include "src/util/thread_pool.h"
@@ -40,6 +46,10 @@ struct SolverOptions {
   bool preprocess = true;
   ExactOptions exact;
   MonteCarloOptions monte_carlo;
+  /// The whole query's time limit, deadline and cancel token. Deadline
+  /// expiry fails an exact solve with ResourceExhausted and truncates a
+  /// sampled one; a tripped token returns Cancelled.
+  QueryBudget budget;
 };
 
 /// Diagnostics of one solve, for benches and the CLI.
@@ -74,9 +84,8 @@ class SkylineSolver {
   static Result<SkylineSolver> Create(const Dataset& data,
                                       const PreferenceModel& model);
 
-  /// Det / Det+: exact sky(target). options.exact.time_limit_seconds
-  /// bounds the whole query: one deadline is resolved up front and shared
-  /// by every group solve.
+  /// Det / Det+: exact sky(target). options.budget bounds the whole
+  /// query: one deadline shared by every group solve.
   Result<double> Exact(ObjectId target, const SolverOptions& options = {},
                        SolveStats* stats = nullptr) const;
 
@@ -202,9 +211,8 @@ struct BatchExactStats : BatchPreprocessStats {
 ///
 /// Element i of the result is bit-identical to SkylineSolver::Exact(i)
 /// with the same options, for every thread count of \p pool.
-/// options.exact.max_subsets bounds each group solve as usual, but
-/// options.exact.time_limit_seconds is converted into ONE deadline shared
-/// by the whole batch.
+/// options.exact.max_subsets bounds each group solve as usual, while
+/// options.budget bounds the whole batch: one deadline, one token.
 ///
 /// Degradation contract: a target whose solve exhausts its budget or
 /// deadline does NOT abort the batch. Its result slot is NaN, its Status
@@ -216,7 +224,7 @@ struct BatchExactStats : BatchPreprocessStats {
 /// deterministic budget/deadline exhaustion — get one re-dispatch in
 /// ascending ObjectId order against the remaining shared deadline;
 /// salvaged values are bit-identical to their fault-free values. The call
-/// itself fails only on invalid input or when options.exact.cancel is
+/// itself fails only on invalid input or when options.budget.cancel is
 /// tripped — cancellation abandons the whole query with
 /// Status::Cancelled.
 Result<std::vector<double>> BatchExactSkylineProbabilities(
@@ -241,10 +249,11 @@ Result<double> ExpectedSkylineCardinality(const Dataset& data,
 /// Exact sky(target) in rational arithmetic — the bit-exact reference used
 /// by the test suite. \p preprocess toggles absorption + partition, whose
 /// product recombination is also exact in this mode. As in
-/// SkylineSolver::Exact, one deadline bounds every group solve.
+/// SkylineSolver::Exact, \p budget bounds the whole query.
 Result<Rational> ExactSkylineProbabilityRational(
     const Dataset& data, ObjectId target, const RationalPreferenceModel& model,
-    bool preprocess = false, const ExactOptions& options = {});
+    bool preprocess = false, const ExactOptions& options = {},
+    const QueryBudget& budget = {});
 
 }  // namespace skypref
 

@@ -31,7 +31,8 @@ class ProjectedPreferenceModel : public PreferenceModel {
 Result<double> SubspaceSkylineProbability(const Dataset& data,
                                           ObjectId target, SubspaceMask mask,
                                           const PreferenceModel& model,
-                                          const ExactOptions& options) {
+                                          const ExactOptions& options,
+                                          const QueryBudget& budget) {
   if (target >= data.size()) {
     return Status::OutOfRange("target object out of range");
   }
@@ -43,6 +44,7 @@ Result<double> SubspaceSkylineProbability(const Dataset& data,
     return Status::InvalidArgument(
         "subspace mask references dimensions beyond the dataset");
   }
+  SKYPREF_ASSIGN_OR_RETURN(const QueryBudget resolved, budget.Resolve());
 
   std::vector<DimensionId> dims;
   for (DimensionId j = 0; j < data.dimensions(); ++j) {
@@ -76,8 +78,6 @@ Result<double> SubspaceSkylineProbability(const Dataset& data,
   // Det+ on the projected instance. Coinciding candidate projections are
   // deduplicated by absorption (identical rows absorb one another). ONE
   // deadline bounds every group solve, as in SkylineSolver::Exact.
-  ExactOptions exact = options;
-  exact.deadline = internal::ResolveDeadline(options);
   ProjectedPreferenceModel projected_model(model, dims);
   candidates = AbsorbCandidates(projected, 0, candidates);
   DoubleOracle oracle(projected_model);
@@ -85,7 +85,8 @@ Result<double> SubspaceSkylineProbability(const Dataset& data,
   for (const auto& group : PartitionCandidates(projected, 0, candidates)) {
     SKYPREF_ASSIGN_OR_RETURN(
         double survival,
-        ExactSkylineProbability(projected, 0, group, oracle, exact));
+        ExactSkylineProbability(projected, 0, group, oracle, options,
+                                /*stats=*/nullptr, resolved));
     product *= survival;
   }
   return product;
@@ -93,11 +94,14 @@ Result<double> SubspaceSkylineProbability(const Dataset& data,
 
 Result<std::vector<SkycubeCell>> ProbabilisticSkycube(
     const Dataset& data, ObjectId target, const PreferenceModel& model,
-    const ExactOptions& options) {
+    const ExactOptions& options, const QueryBudget& budget) {
   if (data.dimensions() > 20) {
     return Status::ResourceExhausted(
         "skycube over more than 20 dimensions is not supported (2^d cells)");
   }
+  // ONE deadline for every cell: each cell's solve re-resolves the
+  // resolved budget, which keeps it.
+  SKYPREF_ASSIGN_OR_RETURN(const QueryBudget resolved, budget.Resolve());
   const SubspaceMask full =
       static_cast<SubspaceMask>((std::uint64_t{1} << data.dimensions()) - 1);
   std::vector<SkycubeCell> cells;
@@ -108,7 +112,8 @@ Result<std::vector<SkycubeCell>> ProbabilisticSkycube(
     cell.dimensions = static_cast<std::size_t>(std::popcount(mask));
     SKYPREF_ASSIGN_OR_RETURN(
         cell.probability,
-        SubspaceSkylineProbability(data, target, mask, model, options));
+        SubspaceSkylineProbability(data, target, mask, model, options,
+                                   resolved));
     cells.push_back(cell);
   }
   std::stable_sort(cells.begin(), cells.end(),

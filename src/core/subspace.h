@@ -26,6 +26,7 @@
 #include "src/model/dataset.h"
 #include "src/model/preference_model.h"
 #include "src/model/types.h"
+#include "src/util/cancel.h"
 #include "src/util/status.h"
 
 namespace skypref {
@@ -36,13 +37,14 @@ using SubspaceMask = std::uint32_t;
 
 /// Exact sky of \p target within subspace \p mask (Det+ machinery:
 /// absorption + partition run on the projected instance). As in
-/// SkylineSolver::Exact, options.time_limit_seconds bounds the whole call
-/// (one deadline shared by every group solve), while options.max_subsets
-/// still bounds each group solve.
+/// SkylineSolver::Exact, \p budget bounds the whole call (one deadline
+/// shared by every group solve), while options.max_subsets still bounds
+/// each group solve.
 Result<double> SubspaceSkylineProbability(const Dataset& data,
                                           ObjectId target, SubspaceMask mask,
                                           const PreferenceModel& model,
-                                          const ExactOptions& options = {});
+                                          const ExactOptions& options = {},
+                                          const QueryBudget& budget = {});
 
 /// One cell of the probabilistic skycube.
 struct SkycubeCell {
@@ -53,11 +55,11 @@ struct SkycubeCell {
 
 /// sky_S(target) for every non-empty subspace S, ordered by (popcount,
 /// mask). Requires d <= 20 (2^d - 1 cells). Cost: one Det+ solve per
-/// cell; budget via \p options applies per cell (the time limit to the
-/// whole cell, the subset budget to each group of it).
+/// cell. \p budget bounds the whole call — one deadline for all cells —
+/// while options.max_subsets bounds each group of each cell.
 Result<std::vector<SkycubeCell>> ProbabilisticSkycube(
     const Dataset& data, ObjectId target, const PreferenceModel& model,
-    const ExactOptions& options = {});
+    const ExactOptions& options = {}, const QueryBudget& budget = {});
 
 }  // namespace skypref
 

@@ -2,19 +2,18 @@
 #define SKYPREF_UTIL_CANCEL_H_
 
 /// \file
-/// Cooperative cancellation and the unified deadline type.
+/// Cooperative cancellation, the unified deadline type, and the query
+/// budget that carries both.
 ///
 /// The solvers are exponential by design (#P-completeness, Theorem 1), so
 /// in a serving scenario every long computation must be interruptible.
 /// Two orthogonal stop signals exist:
 ///
 ///  * Deadline — a fixed point on the steady clock after which the
-///    computation should give up. All multi-solve drivers resolve ONE
-///    deadline up front and share it (see ExactOptions::deadline), so a
-///    query-wide time limit is observed once, not once per sub-solve.
-///    Expiry maps to Status::ResourceExhausted: the result is still
-///    wanted, just cheaper — the resilient ladder (src/core/resilient.h)
-///    answers with a sampled estimate or a certified interval instead.
+///    computation should give up. Expiry maps to
+///    Status::ResourceExhausted: the result is still wanted, just
+///    cheaper — the resilient ladder (src/core/resilient.h) answers with
+///    a sampled estimate or a certified interval instead.
 ///
 ///  * CancelToken — an external "stop, the answer is no longer wanted"
 ///    signal (client disconnect, superseded query). Solvers poll the
@@ -24,6 +23,15 @@
 ///    per-iteration cost. Cancellation maps to Status::Cancelled and is
 ///    NOT degraded around: the whole query aborts.
 ///
+/// QueryBudget bundles a time limit, a deadline and a token — the one
+/// budget shape of every public entry point (SolverOptions::budget,
+/// AllWorldsOptions::budget, or a trailing parameter). An entry point
+/// calls Resolve() once and hands the resolved budget to every engine
+/// and sub-call, so a query-wide limit is observed once, not once per
+/// independence group, target or skycube cell. Resolving is the only
+/// place a time limit becomes a deadline, and resolving a resolved
+/// budget changes nothing.
+///
 /// Determinism: cancellation is observed at deterministic work
 /// boundaries (visit-count checkpoints, task starts), so a token that is
 /// already cancelled when a solve starts yields Status::Cancelled at
@@ -32,9 +40,9 @@
 /// completion, as any cooperative scheme must; once the cancel is
 /// observed by any task, the query-level outcome is Cancelled.
 ///
-/// Both types are cheap values. CancelToken copies share one flag
-/// (shared_ptr<atomic<bool>>), so a caller keeps one token, hands copies
-/// (or a pointer) to solver options, and flips it from any thread.
+/// All three types are cheap values. CancelToken copies share one flag
+/// (shared_ptr<atomic<bool>>), so a caller keeps one token, points a
+/// budget at it, and flips it from any thread.
 ///
 /// Everything here is lock-free on purpose: polls sit on solver hot
 /// paths, so there is no mutex and nothing for -Wthread-safety to guard
@@ -117,6 +125,39 @@ inline Status CheckStop(const CancelToken* cancel, const Deadline& deadline) {
     return Status::ResourceExhausted("solve exceeded its deadline");
   }
   return Status::OK();
+}
+
+/// The stop signals of one query. Set by the caller; every public entry
+/// point resolves it once (Resolve) and passes the resolved budget down.
+struct QueryBudget {
+  /// Wall time for the whole query, counted from the entry point that
+  /// resolves the budget; non-positive = unlimited.
+  double time_limit_seconds = 0.0;
+  /// An absolute deadline; when set it wins over time_limit_seconds.
+  Deadline deadline;
+  /// Optional cooperative cancellation. Not owned; must outlive the
+  /// query. nullptr = not cancellable.
+  const CancelToken* cancel = nullptr;
+
+  /// Starts the clock: the resolved budget keeps an explicit deadline,
+  /// otherwise its deadline is time_limit_seconds from now; with neither
+  /// set no clock is read. Its time limit is spent (zero), so resolving
+  /// it again changes nothing. Cancelled when the token is already
+  /// tripped.
+  Result<QueryBudget> Resolve() const;
+
+  /// True once the token is tripped; engines poll it at the same bounded
+  /// cadence as deadline.Expired().
+  bool cancelled() const { return cancel != nullptr && cancel->cancelled(); }
+};
+
+inline Result<QueryBudget> QueryBudget::Resolve() const {
+  if (cancelled()) return CancelledStatus();
+  QueryBudget resolved;
+  resolved.deadline =
+      deadline.has_value() ? deadline : Deadline::After(time_limit_seconds);
+  resolved.cancel = cancel;
+  return resolved;
 }
 
 }  // namespace skypref

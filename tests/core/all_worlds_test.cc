@@ -121,7 +121,7 @@ TEST(AllWorldsTest, SaturatedSampleCountRejected) {
     AllWorldsOptions options;
     options.epsilon = c.epsilon;
     options.delta = c.delta;
-    options.time_limit_seconds = 0.5;
+    options.budget.time_limit_seconds = 0.5;
     ASSERT_EQ(AllWorldsSampleSize(c.epsilon, c.delta, data.size()),
               std::numeric_limits<std::uint64_t>::max());
     EXPECT_EQ(
@@ -255,7 +255,7 @@ TEST(AllWorldsTest, PreCancelledTokenCancelsBeforeSampling) {
   token.RequestCancel();
   AllWorldsOptions options;
   options.samples = 100000;
-  options.cancel = &token;
+  options.budget.cancel = &token;
   EXPECT_EQ(
       EstimateAllSkylineProbabilities(data, model, options).status().code(),
       StatusCode::kCancelled);
@@ -266,15 +266,15 @@ TEST(AllWorldsTest, ExpiredDeadlineExhaustsTheEstimate) {
   TablePreferenceModel model;
   AllWorldsOptions options;
   options.samples = 100000;
-  options.deadline = Deadline::At(Deadline::Clock::now() -
-                                  std::chrono::seconds(1));
+  options.budget.deadline = Deadline::At(Deadline::Clock::now() -
+                                         std::chrono::seconds(1));
   EXPECT_EQ(
       EstimateAllSkylineProbabilities(data, model, options).status().code(),
       StatusCode::kResourceExhausted);
   // Cancellation wins over an expired deadline.
   CancelToken token;
   token.RequestCancel();
-  options.cancel = &token;
+  options.budget.cancel = &token;
   EXPECT_EQ(
       EstimateAllSkylineProbabilities(data, model, options).status().code(),
       StatusCode::kCancelled);

@@ -1,7 +1,8 @@
 /// Deterministic fault injection (src/util/failpoint.h): the facility
 /// itself, and every armed site forcing its engine down the intended
-/// degradation path — exact DFS, sampler loop, parallel task, batch
-/// target dispatch (plus its retry salvage pass), allocation failure,
+/// degradation path — exact DFS, sampler loop, the poisoned sampler
+/// block of the block, bit-sliced and batch Sam engines, parallel task,
+/// batch target dispatch (plus its retry salvage pass), allocation failure,
 /// delay and spurious-wake schedules, seeded chaos reproducibility, and
 /// the arm-under-fire atomicity contract. The build always compiles the
 /// sites in for this file: a failpoints-off tree links it against the
@@ -18,8 +19,11 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/monte_carlo.h"
 #include "src/core/parallel.h"
 #include "src/core/resilient.h"
+#include "src/core/sam_bitslice.h"
+#include "src/core/sam_parallel.h"
 #include "src/core/solver.h"
 #include "src/util/failpoint.h"
 #include "src/util/thread_pool.h"
@@ -42,6 +46,10 @@ constexpr bool kFailpointsCompiledIn = false;
       GTEST_SKIP() << "built without SKYPREF_FAILPOINTS";           \
     }                                                               \
   } while (false)
+
+// The thread counts every determinism contract in this repo is pinned
+// against (0 = inline execution on the calling thread).
+const std::size_t kThreadCounts[] = {0, 1, 2, 8};
 
 class FailpointTest : public ::testing::Test {
  protected:
@@ -419,6 +427,97 @@ TEST_F(FailpointTest, ResilientLadderDegradesExactlyTheInjectedGroup) {
   EXPECT_EQ(sampled, 1u);
   EXPECT_GE(run->estimate, 0.0);
   EXPECT_LE(run->estimate, 1.0);
+}
+
+TEST_F(FailpointTest, BlockSamPoisonsTheSameBlockAtEveryThreadCount) {
+  SKYPREF_REQUIRE_FAILPOINTS();
+  Dataset data = RandomSmallDataset(17, 24, 3, 4);
+  TablePreferenceModel model;
+  MonteCarloOptions options;
+  options.samples = 4096;
+  options.block_size = 512;  // 8 blocks
+  options.seed = 3;
+
+  // Arming "fire on hit k" poisons block k: the pre-dispatch scan
+  // consumes the site serially over block indices 1..7 (block 0 is
+  // exempt), so the counted prefix is blocks [0, k) — 512 k worlds —
+  // regardless of the pool.
+  for (std::uint64_t fire_on_hit : {std::uint64_t{1}, std::uint64_t{3}}) {
+    std::vector<MonteCarloResult> runs;
+    for (std::size_t threads : kThreadCounts) {
+      failpoint::ScopedFailpoint armed("sampler.block", fire_on_hit);
+      ThreadPool pool(threads);
+      auto run =
+          BlockMonteCarloSkylineProbability(data, 0, model, pool, options);
+      ASSERT_TRUE(run.ok()) << run.status();
+      runs.push_back(*run);
+    }
+    for (const MonteCarloResult& run : runs) {
+      EXPECT_TRUE(run.truncated);
+      EXPECT_EQ(run.samples, 512u * fire_on_hit);
+      EXPECT_EQ(run.skyline_worlds, runs.front().skyline_worlds);
+      EXPECT_EQ(run.pair_draws, runs.front().pair_draws);
+    }
+  }
+}
+
+TEST_F(FailpointTest, BatchSamTruncatesTheBatchDeterministically) {
+  SKYPREF_REQUIRE_FAILPOINTS();
+  Dataset data = RandomSmallDataset(11, 12, 2, 4);
+  TablePreferenceModel model;
+  SolverOptions options;
+  options.monte_carlo.samples = 2048;
+  options.monte_carlo.block_size = 512;  // 4 blocks
+
+  std::vector<std::vector<double>> estimates;
+  std::vector<BatchSamStats> stats;
+  for (std::size_t threads : kThreadCounts) {
+    failpoint::ScopedFailpoint armed("sampler.block", 2);
+    ThreadPool pool(threads);
+    BatchSamStats s;
+    auto run = BatchMonteCarloSkylineProbabilities(data, model, pool, options,
+                                                   &s);
+    ASSERT_TRUE(run.ok()) << run.status();
+    estimates.push_back(*run);
+    stats.push_back(s);
+  }
+  for (std::size_t i = 0; i < estimates.size(); ++i) {
+    EXPECT_TRUE(stats[i].truncated);
+    EXPECT_EQ(stats[i].samples, 1024u);  // blocks 0 and 1
+    EXPECT_EQ(stats[i].pair_draws, stats.front().pair_draws);
+    EXPECT_EQ(estimates[i], estimates.front());
+  }
+}
+
+TEST_F(FailpointTest, BitSlicedSamPoisonsTheSameBlockAtEveryThreadCount) {
+  SKYPREF_REQUIRE_FAILPOINTS();
+  Dataset data = RandomSmallDataset(17, 24, 3, 4);
+  TablePreferenceModel model;
+  MonteCarloOptions options;
+  options.samples = 4096;
+  options.block_size = 512;  // 8 blocks
+  options.seed = 3;
+
+  // Arming "fire on hit k" poisons block k through the same serial
+  // pre-dispatch scan as the scalar block engine: the counted prefix is
+  // blocks [0, k) — 512 k worlds — regardless of the pool.
+  for (std::uint64_t fire_on_hit : {std::uint64_t{1}, std::uint64_t{3}}) {
+    std::vector<MonteCarloResult> runs;
+    for (std::size_t threads : kThreadCounts) {
+      failpoint::ScopedFailpoint armed("sampler.block", fire_on_hit);
+      ThreadPool pool(threads);
+      auto run =
+          BitSlicedMonteCarloSkylineProbability(data, 0, model, pool, options);
+      ASSERT_TRUE(run.ok()) << run.status();
+      runs.push_back(*run);
+    }
+    for (const MonteCarloResult& run : runs) {
+      EXPECT_TRUE(run.truncated);
+      EXPECT_EQ(run.samples, 512u * fire_on_hit);
+      EXPECT_EQ(run.skyline_worlds, runs.front().skyline_worlds);
+      EXPECT_EQ(run.pair_draws, runs.front().pair_draws);
+    }
+  }
 }
 
 }  // namespace

@@ -77,10 +77,12 @@ TEST(FlatExactTest, PreExpiredSharedDeadlineAborts) {
   // under unanimous preferences (no zero factors to prune).
   Dataset data = RandomSmallDataset(31, 14, 3, 4);
   TablePreferenceModel model;
-  ExactOptions expired;
+  QueryBudget expired;
   expired.deadline =
       Deadline::At(std::chrono::steady_clock::now() - std::chrono::seconds(1));
-  EXPECT_EQ(ExactSkylineProbability(data, 0, model, expired).status().code(),
+  EXPECT_EQ(ExactSkylineProbability(data, 0, model, {}, nullptr, expired)
+                .status()
+                .code(),
             StatusCode::kResourceExhausted);
 }
 

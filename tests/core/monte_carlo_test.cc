@@ -243,8 +243,9 @@ TEST(MonteCarloTest, UnboundedSaturatedCountRejected) {
     options.epsilon = c.epsilon;
     options.delta = c.delta;
     options.samples = c.samples;
-    options.cancel = guard.token();
-    EXPECT_EQ(MonteCarloSkylineProbability(data, 0, model, options)
+    QueryBudget budget;
+    budget.cancel = guard.token();
+    EXPECT_EQ(MonteCarloSkylineProbability(data, 0, model, options, budget)
                   .status()
                   .code(),
               StatusCode::kInvalidArgument)
@@ -254,8 +255,9 @@ TEST(MonteCarloTest, UnboundedSaturatedCountRejected) {
   // A shared deadline bounds the loop as well as a time limit does.
   MonteCarloOptions bounded;
   bounded.epsilon = 1e-12;
-  bounded.deadline = Deadline::After(0.01);
-  auto run = MonteCarloSkylineProbability(data, 0, model, bounded);
+  QueryBudget deadline;
+  deadline.deadline = Deadline::After(0.01);
+  auto run = MonteCarloSkylineProbability(data, 0, model, bounded, deadline);
   ASSERT_TRUE(run.ok()) << run.status();
   EXPECT_TRUE(run->truncated);
 }
@@ -285,9 +287,10 @@ TEST(MonteCarloTest, ExpiredDeadlineReturnsPartialResult) {
   TablePreferenceModel model;
   MonteCarloOptions options;
   options.samples = 10000;
-  options.deadline = Deadline::At(Deadline::Clock::now() -
-                                  std::chrono::seconds(1));
-  auto run = MonteCarloSkylineProbability(data, 0, model, options);
+  QueryBudget budget;
+  budget.deadline = Deadline::At(Deadline::Clock::now() -
+                                 std::chrono::seconds(1));
+  auto run = MonteCarloSkylineProbability(data, 0, model, options, budget);
   ASSERT_TRUE(run.ok()) << run.status();
   EXPECT_TRUE(run->truncated);
   // The deadline is polled every 64 worlds, AFTER sampling, so the
@@ -303,8 +306,9 @@ TEST(MonteCarloTest, UnexpiredTimeLimitDrawsEverySample) {
   TablePreferenceModel model;
   MonteCarloOptions options;
   options.samples = 200;
-  options.time_limit_seconds = 3600.0;
-  auto run = MonteCarloSkylineProbability(data, 0, model, options);
+  QueryBudget budget;
+  budget.time_limit_seconds = 3600.0;
+  auto run = MonteCarloSkylineProbability(data, 0, model, options, budget);
   ASSERT_TRUE(run.ok());
   EXPECT_FALSE(run->truncated);
   EXPECT_EQ(run->samples, 200u);
@@ -318,8 +322,9 @@ TEST(MonteCarloTest, PreCancelledTokenReturnsCancelled) {
   token.RequestCancel();
   MonteCarloOptions options;
   options.samples = 200;
-  options.cancel = &token;
-  EXPECT_EQ(MonteCarloSkylineProbability(data, 0, model, options)
+  QueryBudget budget;
+  budget.cancel = &token;
+  EXPECT_EQ(MonteCarloSkylineProbability(data, 0, model, options, budget)
                 .status()
                 .code(),
             StatusCode::kCancelled);

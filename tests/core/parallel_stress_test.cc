@@ -25,7 +25,8 @@ using skypref::testing::RandomSmallDataset;
 
 using PooledEngine = Result<MonteCarloResult> (*)(
     const Dataset&, ObjectId, std::span<const ObjectId>,
-    const PreferenceModel&, ThreadPool&, const MonteCarloOptions&);
+    const PreferenceModel&, ThreadPool&, const MonteCarloOptions&,
+    const QueryBudget&);
 constexpr PooledEngine kPooledEngines[] = {
     &BlockMonteCarloSkylineProbability, &BitSlicedMonteCarloSkylineProbability};
 
@@ -42,12 +43,12 @@ TEST(ParallelDeterminismStressTest, MonteCarloThreadCountSweep) {
 
     ThreadPool reference_pool(0);
     auto reference =
-        engine(data, 0, candidates, model, reference_pool, options);
+        engine(data, 0, candidates, model, reference_pool, options, {});
     ASSERT_TRUE(reference.ok());
 
     for (std::size_t threads : {1u, 2u, 3u, 5u, 8u}) {
       ThreadPool pool(threads);
-      auto run = engine(data, 0, candidates, model, pool, options);
+      auto run = engine(data, 0, candidates, model, pool, options, {});
       ASSERT_TRUE(run.ok()) << "threads=" << threads;
       EXPECT_EQ(run->skyline_worlds, reference->skyline_worlds)
           << "threads=" << threads;
@@ -70,10 +71,10 @@ TEST(ParallelDeterminismStressTest, MonteCarloRepeatedRunsOnOnePool) {
     options.samples = 2048;
     options.seed = 7;
     options.block_size = 128;
-    auto first = engine(data, 1, candidates, model, pool, options);
+    auto first = engine(data, 1, candidates, model, pool, options, {});
     ASSERT_TRUE(first.ok());
     for (int round = 0; round < 25; ++round) {
-      auto again = engine(data, 1, candidates, model, pool, options);
+      auto again = engine(data, 1, candidates, model, pool, options, {});
       ASSERT_TRUE(again.ok());
       ASSERT_EQ(again->skyline_worlds, first->skyline_worlds)
           << "round " << round;

@@ -129,10 +129,11 @@ TEST(ParallelExactTest, PreExpiredDeadlineAbortsTheWholeQuery) {
   Dataset data = SingleGroupDataset(18);
   TablePreferenceModel model;
   ThreadPool pool(4);
-  ExactOptions expired;
+  QueryBudget expired;
   expired.deadline = Deadline::At(std::chrono::steady_clock::now() -
                                   std::chrono::seconds(1));
-  EXPECT_EQ(ParallelExactSkylineProbability(data, 0, model, pool, expired)
+  EXPECT_EQ(ParallelExactSkylineProbability(data, 0, model, pool, {}, {},
+                                            nullptr, expired)
                 .status()
                 .code(),
             StatusCode::kResourceExhausted);
@@ -162,11 +163,12 @@ TEST(ParallelExactTest, PreCancelledTokenCancelsAtEveryThreadCount) {
   TablePreferenceModel model;
   CancelToken token;
   token.RequestCancel();
-  ExactOptions cancelled;
+  QueryBudget cancelled;
   cancelled.cancel = &token;
   for (std::size_t threads : {0u, 1u, 2u, 8u}) {
     ThreadPool pool(threads);
-    EXPECT_EQ(ParallelExactSkylineProbability(data, 0, model, pool, cancelled)
+    EXPECT_EQ(ParallelExactSkylineProbability(data, 0, model, pool, {}, {},
+                                              nullptr, cancelled)
                   .status()
                   .code(),
               StatusCode::kCancelled)

@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "src/core/resilient.h"
 #include "src/core/solver.h"
@@ -157,7 +158,7 @@ TEST(ResilientTest, ExpiredDeadlineFallsBackToCertifiedBounds) {
   TablePreferenceModel model;
   ResilientOptions options;
   options.solver.exact.max_subsets = 500;
-  options.solver.exact.deadline =
+  options.solver.budget.deadline =
       Deadline::At(Deadline::Clock::now() - std::chrono::seconds(1));
   auto run = ResilientSkylineProbability(data, 0, model, options);
   ASSERT_TRUE(run.ok()) << run.status();
@@ -214,12 +215,38 @@ TEST(ResilientTest, PreCancelledTokenAbortsAtEveryThreadCount) {
   CancelToken token;
   token.RequestCancel();
   ResilientOptions options;
-  options.solver.exact.cancel = &token;
+  options.solver.budget.cancel = &token;
   for (std::size_t threads : {0u, 1u, 2u, 8u}) {
     ThreadPool pool(threads);
     auto run = ResilientSkylineProbability(data, 0, model, pool, options);
     EXPECT_EQ(run.status().code(), StatusCode::kCancelled)
         << "threads " << threads;
+  }
+}
+
+// The sampled rung runs the bit-sliced engine, so the ladder checks
+// solver.monte_carlo against that engine's rule at entry: a block_size
+// that is not a multiple of 64, or a NaN epsilon, is InvalidArgument
+// instead of a bounded answer with no word on why sampling never ran.
+TEST(ResilientTest, RejectsSamplingOptionsTheSampledRungCannotRun) {
+  Dataset data = BlobAndSingletonsDataset(12, 2);
+  TablePreferenceModel model;
+  ResilientOptions bad_block;
+  bad_block.solver.exact.max_subsets = 500;  // the blob needs 4095 visits
+  bad_block.solver.monte_carlo.block_size = 100;
+  ResilientOptions nan_epsilon;
+  nan_epsilon.solver.exact.max_subsets = 500;
+  nan_epsilon.solver.monte_carlo.epsilon =
+      std::numeric_limits<double>::quiet_NaN();
+  ThreadPool pool(2);
+  for (const ResilientOptions& options : {bad_block, nan_epsilon}) {
+    EXPECT_EQ(
+        ResilientSkylineProbability(data, 0, model, options).status().code(),
+        StatusCode::kInvalidArgument);
+    EXPECT_EQ(ResilientBatchSkylineProbabilities(data, model, pool, options)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
   }
 }
 

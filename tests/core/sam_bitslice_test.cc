@@ -11,7 +11,6 @@
 #include "src/core/monte_carlo.h"
 #include "src/core/sam_parallel.h"
 #include "src/core/solver.h"
-#include "src/util/failpoint.h"
 #include "test_util.h"
 
 namespace skypref {
@@ -197,12 +196,13 @@ TEST(BitSlicedSamTest, PreExpiredDeadlineTruncatesIdenticallyPerThreadCount) {
   MonteCarloOptions options;
   options.samples = 10000;
   options.block_size = 512;
-  options.deadline = Deadline::At(Deadline::Clock::now() -
-                                  std::chrono::seconds(1));
+  QueryBudget budget;
+  budget.deadline = Deadline::At(Deadline::Clock::now() -
+                                 std::chrono::seconds(1));
 
   ThreadPool baseline_pool(0);
-  auto baseline = BitSlicedMonteCarloSkylineProbability(data, 0, model,
-                                                        baseline_pool, options);
+  auto baseline = BitSlicedMonteCarloSkylineProbability(
+      data, 0, model, baseline_pool, options, budget);
   ASSERT_TRUE(baseline.ok()) << baseline.status();
   EXPECT_TRUE(baseline->truncated);
   // Block 0 polls after its first 64-world chunk and keeps the partial
@@ -213,8 +213,8 @@ TEST(BitSlicedSamTest, PreExpiredDeadlineTruncatesIdenticallyPerThreadCount) {
 
   for (std::size_t threads : kThreadCounts) {
     ThreadPool pool(threads);
-    auto run =
-        BitSlicedMonteCarloSkylineProbability(data, 0, model, pool, options);
+    auto run = BitSlicedMonteCarloSkylineProbability(data, 0, model, pool,
+                                                     options, budget);
     ASSERT_TRUE(run.ok()) << run.status();
     EXPECT_TRUE(run->truncated) << "threads=" << threads;
     EXPECT_EQ(run->samples, baseline->samples) << "threads=" << threads;
@@ -231,48 +231,15 @@ TEST(BitSlicedSamTest, PreCancelledTokenReturnsCancelled) {
   token.RequestCancel();
   MonteCarloOptions options;
   options.samples = 200;
-  options.cancel = &token;
+  QueryBudget budget;
+  budget.cancel = &token;
   ThreadPool pool(2);
-  EXPECT_EQ(
-      BitSlicedMonteCarloSkylineProbability(data, 0, model, pool, options)
-          .status()
-          .code(),
-      StatusCode::kCancelled);
+  EXPECT_EQ(BitSlicedMonteCarloSkylineProbability(data, 0, model, pool,
+                                                  options, budget)
+                .status()
+                .code(),
+            StatusCode::kCancelled);
 }
-
-#if defined(SKYPREF_FAILPOINTS) && SKYPREF_FAILPOINTS
-
-TEST(BitSlicedSamTest, FailpointPoisonsTheSameBlockAtEveryThreadCount) {
-  Dataset data = RandomSmallDataset(17, 24, 3, 4);
-  TablePreferenceModel model;
-  MonteCarloOptions options;
-  options.samples = 4096;
-  options.block_size = 512;  // 8 blocks
-  options.seed = 3;
-
-  // Arming "fire on hit k" poisons block k through the same serial
-  // pre-dispatch scan as the scalar block engine: the counted prefix is
-  // blocks [0, k) — 512 k worlds — regardless of the pool.
-  for (std::uint64_t fire_on_hit : {std::uint64_t{1}, std::uint64_t{3}}) {
-    std::vector<MonteCarloResult> runs;
-    for (std::size_t threads : kThreadCounts) {
-      failpoint::ScopedFailpoint armed("sampler.block", fire_on_hit);
-      ThreadPool pool(threads);
-      auto run =
-          BitSlicedMonteCarloSkylineProbability(data, 0, model, pool, options);
-      ASSERT_TRUE(run.ok()) << run.status();
-      runs.push_back(*run);
-    }
-    for (const MonteCarloResult& run : runs) {
-      EXPECT_TRUE(run.truncated);
-      EXPECT_EQ(run.samples, 512u * fire_on_hit);
-      EXPECT_EQ(run.skyline_worlds, runs.front().skyline_worlds);
-      EXPECT_EQ(run.pair_draws, runs.front().pair_draws);
-    }
-  }
-}
-
-#endif  // SKYPREF_FAILPOINTS
 
 TEST(SolverEngineTest, BitSlicedEngineThroughSolverMatchesDirectCall) {
   Dataset data = RandomSmallDataset(13, 14, 2, 4);

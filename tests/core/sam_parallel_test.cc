@@ -11,7 +11,6 @@
 #include "src/core/monte_carlo.h"
 #include "src/core/sam_bitslice.h"
 #include "src/core/solver.h"
-#include "src/util/failpoint.h"
 #include "test_util.h"
 
 namespace skypref {
@@ -183,13 +182,14 @@ TEST(BlockSamTest, PreExpiredDeadlineTruncatesIdenticallyPerThreadCount) {
   MonteCarloOptions options;
   options.samples = 10000;
   options.block_size = 512;
-  options.deadline = Deadline::At(Deadline::Clock::now() -
-                                  std::chrono::seconds(1));
+  QueryBudget budget;
+  budget.deadline = Deadline::At(Deadline::Clock::now() -
+                                 std::chrono::seconds(1));
 
   ThreadPool baseline_pool(0);
   auto baseline =
       BlockMonteCarloSkylineProbability(data, 0, model, baseline_pool,
-                                        options);
+                                        options, budget);
   ASSERT_TRUE(baseline.ok()) << baseline.status();
   EXPECT_TRUE(baseline->truncated);
   // Block 0 polls at the serial cadence and keeps its partial prefix, so
@@ -200,8 +200,8 @@ TEST(BlockSamTest, PreExpiredDeadlineTruncatesIdenticallyPerThreadCount) {
 
   for (std::size_t threads : kThreadCounts) {
     ThreadPool pool(threads);
-    auto run =
-        BlockMonteCarloSkylineProbability(data, 0, model, pool, options);
+    auto run = BlockMonteCarloSkylineProbability(data, 0, model, pool, options,
+                                                 budget);
     ASSERT_TRUE(run.ok()) << run.status();
     EXPECT_TRUE(run->truncated) << "threads=" << threads;
     EXPECT_EQ(run->samples, baseline->samples) << "threads=" << threads;
@@ -218,9 +218,11 @@ TEST(BlockSamTest, PreCancelledTokenReturnsCancelled) {
   token.RequestCancel();
   MonteCarloOptions options;
   options.samples = 200;
-  options.cancel = &token;
+  QueryBudget budget;
+  budget.cancel = &token;
   ThreadPool pool(2);
-  EXPECT_EQ(BlockMonteCarloSkylineProbability(data, 0, model, pool, options)
+  EXPECT_EQ(BlockMonteCarloSkylineProbability(data, 0, model, pool, options,
+                                              budget)
                 .status()
                 .code(),
             StatusCode::kCancelled);
@@ -275,8 +277,9 @@ TEST(BlockSamTest, SaturatedSampleCountRejected) {
   }
   MonteCarloOptions serial;
   serial.epsilon = 1e-12;
-  serial.time_limit_seconds = 0.01;
-  auto run = MonteCarloSkylineProbability(data, 0, model, serial);
+  QueryBudget budget;
+  budget.time_limit_seconds = 0.01;
+  auto run = MonteCarloSkylineProbability(data, 0, model, serial, budget);
   ASSERT_TRUE(run.ok()) << run.status();
   EXPECT_TRUE(run->truncated);
   EXPECT_GT(run->samples, 0u);
@@ -297,7 +300,7 @@ TEST(SamEngineTest, RequestErrorsMatchAcrossEngines) {
   MonteCarloOptions no_samples;
   no_samples.samples = 0;
   no_samples.epsilon = 0.0;
-  MonteCarloOptions pre_cancelled = valid;
+  QueryBudget pre_cancelled;
   pre_cancelled.cancel = &cancelled;
   MonteCarloOptions zero_block = valid;
   zero_block.block_size = 0;
@@ -308,21 +311,23 @@ TEST(SamEngineTest, RequestErrorsMatchAcrossEngines) {
     ObjectId target;
     std::vector<ObjectId> candidates;
     MonteCarloOptions options;
+    QueryBudget budget;
     StatusCode serial, block, bit_sliced;
   };
   const Case cases[] = {
-      {"no samples", 0, others, no_samples, StatusCode::kInvalidArgument,
+      {"no samples", 0, others, no_samples, {}, StatusCode::kInvalidArgument,
        StatusCode::kInvalidArgument, StatusCode::kInvalidArgument},
-      {"target out of range", 42, others, valid, StatusCode::kOutOfRange,
+      {"target out of range", 42, others, valid, {}, StatusCode::kOutOfRange,
        StatusCode::kOutOfRange, StatusCode::kOutOfRange},
-      {"candidate out of range", 0, {1, 42}, valid, StatusCode::kOutOfRange,
-       StatusCode::kOutOfRange, StatusCode::kOutOfRange},
-      {"candidate is the target", 0, {0}, valid,
+      {"candidate out of range", 0, {1, 42}, valid, {},
+       StatusCode::kOutOfRange, StatusCode::kOutOfRange,
+       StatusCode::kOutOfRange},
+      {"candidate is the target", 0, {0}, valid, {},
        StatusCode::kInvalidArgument, StatusCode::kInvalidArgument,
        StatusCode::kInvalidArgument},
-      {"zero block size", 0, others, zero_block, StatusCode::kOk,
+      {"zero block size", 0, others, zero_block, {}, StatusCode::kOk,
        StatusCode::kInvalidArgument, StatusCode::kInvalidArgument},
-      {"pre-cancelled token", 0, others, pre_cancelled,
+      {"pre-cancelled token", 0, others, valid, pre_cancelled,
        StatusCode::kCancelled, StatusCode::kCancelled,
        StatusCode::kCancelled},
   };
@@ -334,12 +339,14 @@ TEST(SamEngineTest, RequestErrorsMatchAcrossEngines) {
       Result<MonteCarloResult> run =
           engine == Engine::kSerial
               ? MonteCarloSkylineProbability(data, c.target, c.candidates,
-                                             model, options)
+                                             model, options, c.budget)
           : engine == Engine::kBlock
               ? BlockMonteCarloSkylineProbability(data, c.target, c.candidates,
-                                                  model, pool, options)
+                                                  model, pool, options,
+                                                  c.budget)
               : BitSlicedMonteCarloSkylineProbability(
-                    data, c.target, c.candidates, model, pool, options);
+                    data, c.target, c.candidates, model, pool, options,
+                    c.budget);
       const StatusCode want = engine == Engine::kSerial  ? c.serial
                               : engine == Engine::kBlock ? c.block
                                                          : c.bit_sliced;
@@ -348,68 +355,6 @@ TEST(SamEngineTest, RequestErrorsMatchAcrossEngines) {
     }
   }
 }
-
-#if defined(SKYPREF_FAILPOINTS) && SKYPREF_FAILPOINTS
-
-TEST(BlockSamTest, FailpointPoisonsTheSameBlockAtEveryThreadCount) {
-  Dataset data = RandomSmallDataset(17, 24, 3, 4);
-  TablePreferenceModel model;
-  MonteCarloOptions options;
-  options.samples = 4096;
-  options.block_size = 512;  // 8 blocks
-  options.seed = 3;
-
-  // Arming "fire on hit k" poisons block k: the pre-dispatch scan
-  // consumes the site serially over block indices 1..7 (block 0 is
-  // exempt), so the counted prefix is blocks [0, k) — 512 k worlds —
-  // regardless of the pool.
-  for (std::uint64_t fire_on_hit : {std::uint64_t{1}, std::uint64_t{3}}) {
-    std::vector<MonteCarloResult> runs;
-    for (std::size_t threads : kThreadCounts) {
-      failpoint::ScopedFailpoint armed("sampler.block", fire_on_hit);
-      ThreadPool pool(threads);
-      auto run =
-          BlockMonteCarloSkylineProbability(data, 0, model, pool, options);
-      ASSERT_TRUE(run.ok()) << run.status();
-      runs.push_back(*run);
-    }
-    for (const MonteCarloResult& run : runs) {
-      EXPECT_TRUE(run.truncated);
-      EXPECT_EQ(run.samples, 512u * fire_on_hit);
-      EXPECT_EQ(run.skyline_worlds, runs.front().skyline_worlds);
-      EXPECT_EQ(run.pair_draws, runs.front().pair_draws);
-    }
-  }
-}
-
-TEST(BatchSamTest, FailpointTruncatesTheBatchDeterministically) {
-  Dataset data = RandomSmallDataset(11, 12, 2, 4);
-  TablePreferenceModel model;
-  SolverOptions options;
-  options.monte_carlo.samples = 2048;
-  options.monte_carlo.block_size = 512;  // 4 blocks
-
-  std::vector<std::vector<double>> estimates;
-  std::vector<BatchSamStats> stats;
-  for (std::size_t threads : kThreadCounts) {
-    failpoint::ScopedFailpoint armed("sampler.block", 2);
-    ThreadPool pool(threads);
-    BatchSamStats s;
-    auto run = BatchMonteCarloSkylineProbabilities(data, model, pool, options,
-                                                   &s);
-    ASSERT_TRUE(run.ok()) << run.status();
-    estimates.push_back(*run);
-    stats.push_back(s);
-  }
-  for (std::size_t i = 0; i < estimates.size(); ++i) {
-    EXPECT_TRUE(stats[i].truncated);
-    EXPECT_EQ(stats[i].samples, 1024u);  // blocks 0 and 1
-    EXPECT_EQ(stats[i].pair_draws, stats.front().pair_draws);
-    EXPECT_EQ(estimates[i], estimates.front());
-  }
-}
-
-#endif  // SKYPREF_FAILPOINTS
 
 TEST(BatchSamTest, BitIdenticalAcrossThreadCounts) {
   Dataset data = RandomSmallDataset(23, 20, 3, 4);
@@ -530,7 +475,7 @@ TEST(BatchSamTest, PreCancelledTokenReturnsCancelled) {
   token.RequestCancel();
   SolverOptions options;
   options.monte_carlo.samples = 100;
-  options.monte_carlo.cancel = &token;
+  options.budget.cancel = &token;
   ThreadPool pool(2);
   EXPECT_EQ(BatchMonteCarloSkylineProbabilities(data, model, pool, options)
                 .status()

@@ -228,7 +228,7 @@ TEST(SolverTest, ExactTimeLimitBoundsTheWholeQuery) {
   TablePreferenceModel model;
   auto solver = SkylineSolver::Create(data, model).value();
   SolverOptions options;
-  options.exact.time_limit_seconds = 0.05;
+  options.budget.time_limit_seconds = 0.05;
   SolveStats stats;
   EXPECT_EQ(solver.Exact(0, options, &stats).status().code(),
             StatusCode::kResourceExhausted);
@@ -240,9 +240,9 @@ TEST(SolverTest, ExactTimeLimitBoundsTheWholeQuery) {
 TEST(SolverTest, RationalTimeLimitBoundsTheWholeQuery) {
   Dataset data = ManyGroupsDataset(12, 13);
   RationalPreferenceModel model = UnanimousHalfRational(data);
-  ExactOptions options;
-  options.time_limit_seconds = 0.3;
-  EXPECT_EQ(ExactSkylineProbabilityRational(data, 0, model, true, options)
+  QueryBudget budget;
+  budget.time_limit_seconds = 0.3;
+  EXPECT_EQ(ExactSkylineProbabilityRational(data, 0, model, true, {}, budget)
                 .status()
                 .code(),
             StatusCode::kResourceExhausted);
@@ -258,7 +258,7 @@ TEST(SolverTest, MonteCarloTimeLimitBoundsTheWholeQuery) {
   auto solver = SkylineSolver::Create(data, model).value();
   SolverOptions options;
   options.monte_carlo.samples = kSamples;
-  options.monte_carlo.time_limit_seconds = 0.05;
+  options.budget.time_limit_seconds = 0.05;
   SolveStats stats;
   auto run = solver.MonteCarlo(0, options, &stats);
   ASSERT_TRUE(run.ok()) << run.status();
@@ -277,7 +277,7 @@ TEST(SolverTest, MonteCarloRejectsUnboundedSaturatedCount) {
     SolverOptions options;
     options.preprocess = false;  // one sampled group
     options.monte_carlo.epsilon = epsilon;
-    options.monte_carlo.cancel = guard.token();
+    options.budget.cancel = guard.token();
     EXPECT_EQ(solver.MonteCarlo(0, options).status().code(),
               StatusCode::kInvalidArgument)
         << "epsilon=" << epsilon;

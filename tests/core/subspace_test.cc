@@ -129,10 +129,10 @@ TEST(SkycubeTest, EnumeratesAllSubspacesOrderedByDimension) {
 TEST(SubspaceTest, TimeLimitBoundsTheWholeCall) {
   Dataset data = ManyGroupsDataset(32, 20);
   TablePreferenceModel model;
-  ExactOptions options;
-  options.time_limit_seconds = 0.05;
+  QueryBudget budget;
+  budget.time_limit_seconds = 0.05;
   const auto start = std::chrono::steady_clock::now();
-  auto run = SubspaceSkylineProbability(data, 0, 0b11, model, options);
+  auto run = SubspaceSkylineProbability(data, 0, 0b11, model, {}, budget);
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;
   EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted);

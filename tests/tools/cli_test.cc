@@ -120,10 +120,48 @@ TEST(CliTest, SkylineThresholdQuery) {
   std::remove(path.c_str());
 }
 
+// Bad input is a failed call, not a crash: skyprob prints the Status on
+// stderr and exits 1 (2 stays reserved for usage errors).
 TEST(CliTest, MissingDataFileFailsGracefully) {
-  CommandResult result =
-      RunCli("solve --data=/nonexistent/nope.csv --target=0");
-  EXPECT_NE(result.exit_code, 0);
+  const std::string csv = TempCsv();
+  ASSERT_EQ(RunCli("generate --kind=uniform --objects=20 --dims=2 --out=" +
+                   csv)
+                .exit_code,
+            0);
+  const std::string short_row = TempCsv();
+  ASSERT_TRUE(WriteFile(short_row, "a,b\n1,2\n3\n").ok());
+  const std::string skyd = UniqueTempPath("skyprob_cli_data", ".skyd");
+  ASSERT_EQ(RunCli("generate --kind=uniform --objects=20 --dims=2 --out=" +
+                   skyd)
+                .exit_code,
+            0);
+  auto bytes = ReadFile(skyd);
+  ASSERT_TRUE(bytes.ok());
+  ASSERT_TRUE(WriteFile(skyd, bytes->substr(0, bytes->size() / 2)).ok());
+
+  struct Case {
+    std::string arguments;
+    std::string status;
+  };
+  const Case cases[] = {
+      {"solve --data=/nonexistent/nope.csv --target=0",
+       "IOError: cannot open for reading: /nonexistent/nope.csv"},
+      {"solve --data=" + csv + " --target=999",
+       "OutOfRange: target object out of range"},
+      {"solve --data=" + short_row + " --target=0",
+       "InvalidArgument: dataset CSV row 2 has 1 fields, expected 2"},
+      {"solve --data=" + skyd + " --target=0",
+       "InvalidArgument: truncated binary document"},
+  };
+  for (const Case& c : cases) {
+    CommandResult result = RunCli(c.arguments);
+    EXPECT_EQ(result.exit_code, 1) << c.arguments << ": " << result.output;
+    EXPECT_NE(result.output.find("skyprob: " + c.status), std::string::npos)
+        << c.arguments << ": " << result.output;
+  }
+  for (const std::string& path : {csv, short_row, skyd}) {
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace

@@ -223,6 +223,29 @@ unsigned long Run(Sampler& s, unsigned long n) {
 """)
         self.assertEqual(self.checks("src/core/monte_carlo.cc"), [])
 
+    def test_budget_poll_is_clean(self):
+        # The engines poll a resolved QueryBudget: its cancelled() and its
+        # deadline's Expired() are the markers.
+        self.write("src/core/monte_carlo.cc", """\
+struct Sampler { bool SampleWorld(); };
+struct Deadline { bool Expired() const; };
+struct QueryBudget {
+  Deadline deadline;
+  bool cancelled() const;
+};
+unsigned long Run(Sampler& s, const QueryBudget& budget, unsigned long n) {
+  unsigned long hits = 0;
+  for (unsigned long h = 0; h < n; ++h) {
+    if (s.SampleWorld()) ++hits;
+    if ((h & 63) == 0 && (budget.cancelled() || budget.deadline.Expired())) {
+      return hits;
+    }
+  }
+  return hits;
+}
+""")
+        self.assertEqual(self.checks("src/core/monte_carlo.cc"), [])
+
     def test_transitive_poll_through_helper_is_clean(self):
         # The loop polls through ChargeVisit -> CheckStop: the name-based
         # call graph closure must see it.

@@ -186,6 +186,33 @@ class FloatEqRule(LintHarness):
         self.assertIn("float-eq", self.rules("src/core/x.cc"))
 
 
+class DeadlineAfterRule(LintHarness):
+    def test_deadline_after_flagged_in_core(self):
+        self.write("src/core/x.cc",
+                   "Deadline F(double s) { return Deadline::After(s); }\n")
+        self.assertIn("deadline-after", self.rules("src/core/x.cc"))
+
+    def test_allowed_in_cancel_home(self):
+        self.write("src/util/cancel.h",
+                   "#ifndef SKYPREF_UTIL_CANCEL_H_\n"
+                   "#define SKYPREF_UTIL_CANCEL_H_\n"
+                   "Deadline F(double s) { return Deadline::After(s); }\n"
+                   "#endif\n")
+        self.assertEqual(self.rules("src/util/cancel.h"), [])
+
+    def test_mention_in_comment_ignored(self):
+        self.write("src/core/x.cc", "// Deadline::After(s) lives in cancel.h\n")
+        self.assertEqual(self.rules("src/core/x.cc"), [])
+
+    def test_suppression_comment(self):
+        self.write(
+            "src/core/x.cc",
+            "Deadline F(double s) {\n"
+            "  return Deadline::After(s);  // skypref-lint: allow(deadline-after)\n"
+            "}\n")
+        self.assertEqual(self.rules("src/core/x.cc"), [])
+
+
 class IncludeGuardRule(LintHarness):
     GOOD = ("#ifndef SKYPREF_CORE_X_H_\n"
             "#define SKYPREF_CORE_X_H_\n"

@@ -91,7 +91,8 @@ WORK_MARKERS = {
     "SampleChunk", "BatchChunkSurvivors", "NextChunk", "ChunkSurvivors",
 }
 
-# Direct cancellation polls. `cancelled` is CancelToken::cancelled(),
+# Direct cancellation polls. `cancelled` is CancelToken::cancelled() or
+# QueryBudget::cancelled(), the engines' poll of a resolved budget;
 # `Expired` is Deadline::Expired(); CheckStop wraps both.
 POLL_MARKERS = {"CheckStop", "cancelled", "Expired"}
 

@@ -56,6 +56,13 @@ in a trailing comment, which must state why):
                   typo'd name silently tests nothing. Skipped when the
                   registry file is not under the repo root (single-file
                   invocations outside the tree).
+  deadline-after  `Deadline::After(` under src/ outside src/util/cancel.h.
+                  A time limit becomes a deadline in exactly one place,
+                  QueryBudget::Resolve, which every public entry point
+                  calls once; a second conversion restarts the clock for
+                  a sub-call (a group, a target, a ladder rung, a skycube
+                  cell) and lets the query overrun its limit that many
+                  times.
 
 Usage:
   tools/skypref_lint.py [paths...]     # default: src/
@@ -83,8 +90,12 @@ RULE_INCLUDE_GUARD = "include-guard"
 RULE_DISCARDED_STATUS = "discarded-status"
 RULE_MUTEX_GUARDED_BY = "mutex-guarded-by"
 RULE_FAILPOINT_SITE = "failpoint-site"
+RULE_DEADLINE_AFTER = "deadline-after"
 
 EXCEPTION_RE = re.compile(r"\b(throw|try|catch)\b")
+DEADLINE_AFTER_RE = re.compile(r"\bDeadline::After\s*\(")
+# The one file allowed to turn a time limit into a deadline.
+DEADLINE_AFTER_HOME = "src/util/cancel.h"
 RAW_RANDOM_RE = re.compile(r"\b(?:s?rand)\s*\(|std::random_device")
 # Direct construction of the PRNG primitives: SplitMix64 or any Xoshiro
 # flavor followed by an initializer. Mentions in comments/strings are
@@ -263,6 +274,8 @@ def check_file(path: Path, repo_root: Path,
     findings: List[Finding] = []
 
     in_random_home = rel.as_posix().startswith("src/util/random.")
+    may_start_deadline = (not rel.as_posix().startswith("src/")
+                          or rel.as_posix() == DEADLINE_AFTER_HOME)
     in_core = rel.as_posix().startswith("src/core/")
     may_construct_prng = rel.as_posix().startswith(PRNG_CONSTRUCT_HOMES)
 
@@ -308,6 +321,13 @@ def check_file(path: Path, repo_root: Path,
                     f"direct {m.group(1)} construction outside src/util/ "
                     "and the sampler engines (derive sub-streams with "
                     "Rng::Fork() or SplitSeed())")
+        if not may_start_deadline:
+            for _ in DEADLINE_AFTER_RE.finditer(code):
+                add(lineno, RULE_DEADLINE_AFTER,
+                    "time limit converted to a deadline outside "
+                    f"{DEADLINE_AFTER_HOME} (resolve the query's "
+                    "QueryBudget once at its entry point and pass the "
+                    "resolved budget down)")
         for _ in STDOUT_RE.finditer(code):
             add(lineno, RULE_NO_STDOUT,
                 "library code must not print to stdout "

@@ -11,6 +11,10 @@
 // Datasets are CSV with a header of dimension names (see io/dataset_io.h);
 // preferences are either an explicit preference CSV or an implicit hashed
 // model derived from --pref-seed.
+//
+// Exit codes: 0 success; 1 a failed call (unreadable or malformed input,
+// an out-of-range target, a failed solve), with its Status on stderr;
+// 2 a usage error.
 
 #include <cstdio>
 #include <cstdlib>
@@ -90,19 +94,21 @@ int Usage() {
   return 2;
 }
 
-Domain SyntheticDomain(const Dataset& data) {
+Result<Domain> SyntheticDomain(const Dataset& data) {
   Domain domain(data.dimensions());
   for (DimensionId j = 0; j < data.dimensions(); ++j) {
     for (ValueId v = 0; v < data.value_bound(j); ++v) {
       std::string value_name = "v";
       value_name += std::to_string(v);
-      domain.InternValue(j, value_name).status().CheckOK();
+      SKYPREF_RETURN_IF_ERROR(domain.InternValue(j, value_name).status());
     }
   }
   return domain;
 }
 
-int RunGenerate(const Args& args) {
+// Each command returns its exit code, or the Status of the first call
+// that failed; Exit turns that Status into exit code 1.
+Result<int> RunGenerate(const Args& args) {
   std::string kind = FlagOr(args, "kind", "uniform");
   std::string out = FlagOr(args, "out", "");
   if (out.empty()) {
@@ -118,10 +124,8 @@ int RunGenerate(const Args& args) {
     options.values_per_dimension =
         static_cast<ValueId>(IntFlagOr(args, "values", 10));
     options.seed = static_cast<std::uint64_t>(IntFlagOr(args, "seed", 1));
-    auto generated = GenerateUniform(options);
-    generated.status().CheckOK();
-    data = std::move(generated).value();
-    domain = SyntheticDomain(data);
+    SKYPREF_ASSIGN_OR_RETURN(data, GenerateUniform(options));
+    SKYPREF_ASSIGN_OR_RETURN(domain, SyntheticDomain(data));
   } else if (kind == "blockzipf") {
     BlockZipfOptions options;
     options.objects =
@@ -132,26 +136,24 @@ int RunGenerate(const Args& args) {
     options.values_per_block =
         static_cast<ValueId>(IntFlagOr(args, "values", 6));
     options.seed = static_cast<std::uint64_t>(IntFlagOr(args, "seed", 1));
-    auto generated = GenerateBlockZipf(options);
-    generated.status().CheckOK();
-    data = std::move(generated).value();
-    domain = SyntheticDomain(data);
+    SKYPREF_ASSIGN_OR_RETURN(data, GenerateBlockZipf(options));
+    SKYPREF_ASSIGN_OR_RETURN(domain, SyntheticDomain(data));
   } else if (kind == "nursery") {
-    auto generated =
-        GenerateNurseryProjection(static_cast<std::size_t>(
-            IntFlagOr(args, "dims", 8)));
-    generated.status().CheckOK();
-    data = std::move(generated.value().dataset);
-    domain = std::move(generated.value().domain);
+    SKYPREF_ASSIGN_OR_RETURN(
+        NurseryVariant nursery,
+        GenerateNurseryProjection(
+            static_cast<std::size_t>(IntFlagOr(args, "dims", 8))));
+    data = std::move(nursery.dataset);
+    domain = std::move(nursery.domain);
   } else {
     std::fprintf(stderr, "unknown --kind=%s\n", kind.c_str());
     return 2;
   }
   if (FlagOr(args, "format", "csv") == "binary" ||
       (out.size() > 5 && out.compare(out.size() - 5, 5, ".skyd") == 0)) {
-    SaveDatasetBinary(out, data).CheckOK();
+    SKYPREF_RETURN_IF_ERROR(SaveDatasetBinary(out, data));
   } else {
-    SaveDatasetFile(out, data, domain).CheckOK();
+    SKYPREF_RETURN_IF_ERROR(SaveDatasetFile(out, data, domain));
   }
   std::printf("wrote %zu objects x %zu dims to %s\n", data.size(),
               data.dimensions(), out.c_str());
@@ -171,7 +173,7 @@ struct LoadedInstance {
   }
 };
 
-LoadedInstance LoadInstance(const Args& args) {
+Result<LoadedInstance> LoadInstance(const Args& args) {
   LoadedInstance instance;
   std::string data_path = FlagOr(args, "data", "");
   if (data_path.empty()) {
@@ -180,23 +182,20 @@ LoadedInstance LoadInstance(const Args& args) {
   }
   if (data_path.size() > 5 &&
       data_path.compare(data_path.size() - 5, 5, ".skyd") == 0) {
-    auto binary = LoadDatasetBinary(data_path);
-    binary.status().CheckOK();
-    instance.loaded.dataset = std::move(binary).value();
-    instance.loaded.domain = SyntheticDomain(instance.loaded.dataset);
+    SKYPREF_ASSIGN_OR_RETURN(instance.loaded.dataset,
+                             LoadDatasetBinary(data_path));
+    SKYPREF_ASSIGN_OR_RETURN(instance.loaded.domain,
+                             SyntheticDomain(instance.loaded.dataset));
   } else {
-    auto loaded = LoadDatasetFile(data_path);
-    loaded.status().CheckOK();
-    instance.loaded = std::move(loaded).value();
+    SKYPREF_ASSIGN_OR_RETURN(instance.loaded, LoadDatasetFile(data_path));
   }
 
   std::string prefs_path = FlagOr(args, "prefs", "");
   if (!prefs_path.empty()) {
-    auto contents = ReadFile(prefs_path);
-    contents.status().CheckOK();
-    auto model = PreferencesFromCsv(contents.value(), instance.loaded.domain);
-    model.status().CheckOK();
-    instance.table_prefs = std::move(model).value();
+    SKYPREF_ASSIGN_OR_RETURN(std::string contents, ReadFile(prefs_path));
+    SKYPREF_ASSIGN_OR_RETURN(
+        instance.table_prefs,
+        PreferencesFromCsv(contents, instance.loaded.domain));
     instance.use_table = true;
   } else {
     instance.hashed_prefs = HashedPreferenceModel(
@@ -206,15 +205,14 @@ LoadedInstance LoadInstance(const Args& args) {
   return instance;
 }
 
-int RunSolve(const Args& args) {
-  LoadedInstance instance = LoadInstance(args);
+Result<int> RunSolve(const Args& args) {
+  SKYPREF_ASSIGN_OR_RETURN(LoadedInstance instance, LoadInstance(args));
   ObjectId target = static_cast<ObjectId>(IntFlagOr(args, "target", 0));
   std::string algo = FlagOr(args, "algo", "det+");
 
-  auto solver_or =
-      SkylineSolver::Create(instance.loaded.dataset, instance.prefs());
-  solver_or.status().CheckOK();
-  const SkylineSolver& solver = solver_or.value();
+  SKYPREF_ASSIGN_OR_RETURN(
+      SkylineSolver solver,
+      SkylineSolver::Create(instance.loaded.dataset, instance.prefs()));
 
   SolverOptions options;
   options.preprocess = algo == "det+" || algo == "sam+";
@@ -239,32 +237,35 @@ int RunSolve(const Args& args) {
     adaptive.epsilon = options.monte_carlo.epsilon;
     adaptive.delta = options.monte_carlo.delta;
     adaptive.seed = options.monte_carlo.seed;
-    auto result = AdaptiveMonteCarloSkylineProbability(
-        instance.loaded.dataset, target, instance.prefs(), adaptive);
-    result.status().CheckOK();
+    SKYPREF_ASSIGN_OR_RETURN(
+        AdaptiveResult result,
+        AdaptiveMonteCarloSkylineProbability(instance.loaded.dataset, target,
+                                             instance.prefs(), adaptive));
     std::printf("sky(object %zu) = %.6g +- %.4g   [adaptive, %llu samples%s]\n",
-                target, result->estimate, result->radius,
-                static_cast<unsigned long long>(result->samples),
-                result->hit_cap ? ", hit Hoeffding cap" : "");
+                target, result.estimate, result.radius,
+                static_cast<unsigned long long>(result.samples),
+                result.hit_cap ? ", hit Hoeffding cap" : "");
     return 0;
   } else if (algo == "bounds") {
     BoundsOptions bounds_options;
     bounds_options.max_level =
         static_cast<std::size_t>(IntFlagOr(args, "max-level", 3));
-    auto bounds = BoundedSkylineProbabilityPreprocessed(
-        instance.loaded.dataset, target, instance.prefs(), bounds_options);
-    bounds.status().CheckOK();
+    SKYPREF_ASSIGN_OR_RETURN(
+        SkylineBounds bounds,
+        BoundedSkylineProbabilityPreprocessed(instance.loaded.dataset, target,
+                                              instance.prefs(),
+                                              bounds_options));
     std::printf("sky(object %zu) in [%.6g, %.6g]   [certified, level %zu, "
                 "%llu terms%s]\n",
-                target, bounds->lower, bounds->upper, bounds->level,
-                static_cast<unsigned long long>(bounds->terms_computed),
-                bounds->exact ? ", exact" : "");
+                target, bounds.lower, bounds.upper, bounds.level,
+                static_cast<unsigned long long>(bounds.terms_computed),
+                bounds.exact ? ", exact" : "");
     return 0;
   } else {
     std::fprintf(stderr, "unknown --algo=%s\n", algo.c_str());
     return 2;
   }
-  sky.status().CheckOK();
+  SKYPREF_RETURN_IF_ERROR(sky.status());
   std::printf("sky(object %zu) = %.6g   [algo=%s]\n", target, sky.value(),
               algo.c_str());
   if (algo != "sac") {
@@ -278,8 +279,8 @@ int RunSolve(const Args& args) {
   return 0;
 }
 
-int RunInspect(const Args& args) {
-  LoadedInstance instance = LoadInstance(args);
+Result<int> RunInspect(const Args& args) {
+  SKYPREF_ASSIGN_OR_RETURN(LoadedInstance instance, LoadInstance(args));
   const Dataset& data = instance.loaded.dataset;
   ObjectId target = static_cast<ObjectId>(IntFlagOr(args, "target", 0));
   if (target >= data.size()) {
@@ -310,26 +311,24 @@ int RunInspect(const Args& args) {
   return 0;
 }
 
-int RunSkyline(const Args& args) {
-  LoadedInstance instance = LoadInstance(args);
+Result<int> RunSkyline(const Args& args) {
+  SKYPREF_ASSIGN_OR_RETURN(LoadedInstance instance, LoadInstance(args));
   double tau = std::atof(FlagOr(args, "tau", "0.5").c_str());
   std::string method = FlagOr(args, "method", "exact");
   std::vector<ObjectId> skyline;
   if (method == "exact") {
-    auto result =
-        ExactProbabilisticSkyline(instance.loaded.dataset, instance.prefs(),
-                                  tau);
-    result.status().CheckOK();
-    skyline = std::move(result).value();
+    SKYPREF_ASSIGN_OR_RETURN(skyline,
+                             ExactProbabilisticSkyline(instance.loaded.dataset,
+                                                       instance.prefs(), tau));
   } else if (method == "sample") {
     AllWorldsOptions options;
     options.seed = static_cast<std::uint64_t>(IntFlagOr(args, "seed", 42));
     options.samples =
         static_cast<std::uint64_t>(IntFlagOr(args, "samples", 0));
-    auto result = ProbabilisticSkyline(instance.loaded.dataset,
-                                       instance.prefs(), tau, options);
-    result.status().CheckOK();
-    skyline = std::move(result).value();
+    SKYPREF_ASSIGN_OR_RETURN(skyline,
+                             ProbabilisticSkyline(instance.loaded.dataset,
+                                                  instance.prefs(), tau,
+                                                  options));
   } else {
     std::fprintf(stderr, "unknown --method=%s\n", method.c_str());
     return 2;
@@ -340,21 +339,22 @@ int RunSkyline(const Args& args) {
   return 0;
 }
 
-int RunTopK(const Args& args) {
-  LoadedInstance instance = LoadInstance(args);
+Result<int> RunTopK(const Args& args) {
+  SKYPREF_ASSIGN_OR_RETURN(LoadedInstance instance, LoadInstance(args));
   std::size_t k = static_cast<std::size_t>(IntFlagOr(args, "k", 5));
   std::string method = FlagOr(args, "method", "race");
   if (method == "race") {
     TopKRaceOptions options;
     options.seed = static_cast<std::uint64_t>(IntFlagOr(args, "seed", 42));
-    auto result =
-        TopKSkylineRace(instance.loaded.dataset, instance.prefs(), k, options);
-    result.status().CheckOK();
+    SKYPREF_ASSIGN_OR_RETURN(
+        TopKRaceResult result,
+        TopKSkylineRace(instance.loaded.dataset, instance.prefs(), k,
+                        options));
     std::printf("top-%zu by skyline probability (race, %s, %llu worlds):\n",
-                k, result->resolved ? "resolved" : "ties at the boundary",
-                static_cast<unsigned long long>(result->worlds));
-    for (ObjectId id : result->topk) {
-      std::printf("  %-8zu %.4f\n", id, result->estimates[id]);
+                k, result.resolved ? "resolved" : "ties at the boundary",
+                static_cast<unsigned long long>(result.worlds));
+    for (ObjectId id : result.topk) {
+      std::printf("  %-8zu %.4f\n", id, result.estimates[id]);
     }
     return 0;
   }
@@ -363,11 +363,11 @@ int RunTopK(const Args& args) {
     options.seed = static_cast<std::uint64_t>(IntFlagOr(args, "seed", 42));
     options.samples =
         static_cast<std::uint64_t>(IntFlagOr(args, "samples", 0));
-    auto result =
-        TopKSkyline(instance.loaded.dataset, instance.prefs(), k, options);
-    result.status().CheckOK();
+    SKYPREF_ASSIGN_OR_RETURN(
+        auto ranked,
+        TopKSkyline(instance.loaded.dataset, instance.prefs(), k, options));
     std::printf("top-%zu by skyline probability (fixed budget):\n", k);
-    for (const auto& [id, estimate] : result.value()) {
+    for (const auto& [id, estimate] : ranked) {
       std::printf("  %-8zu %.4f\n", id, estimate);
     }
     return 0;
@@ -376,15 +376,15 @@ int RunTopK(const Args& args) {
   return 2;
 }
 
-int RunSkycube(const Args& args) {
-  LoadedInstance instance = LoadInstance(args);
+Result<int> RunSkycube(const Args& args) {
+  SKYPREF_ASSIGN_OR_RETURN(LoadedInstance instance, LoadInstance(args));
   ObjectId target = static_cast<ObjectId>(IntFlagOr(args, "target", 0));
-  auto cube =
-      ProbabilisticSkycube(instance.loaded.dataset, target, instance.prefs());
-  cube.status().CheckOK();
+  SKYPREF_ASSIGN_OR_RETURN(
+      std::vector<SkycubeCell> cube,
+      ProbabilisticSkycube(instance.loaded.dataset, target, instance.prefs()));
   std::printf("probabilistic skycube of object %zu (%zu cells):\n", target,
-              cube->size());
-  for (const SkycubeCell& cell : cube.value()) {
+              cube.size());
+  for (const SkycubeCell& cell : cube) {
     std::printf("  dims {");
     bool first = true;
     for (DimensionId j = 0; j < instance.loaded.dataset.dimensions(); ++j) {
@@ -399,15 +399,23 @@ int RunSkycube(const Args& args) {
   return 0;
 }
 
+/// A command's exit code; a failed call prints its Status to stderr and
+/// exits 1.
+int Exit(const Result<int>& code) {
+  if (code.ok()) return *code;
+  std::fprintf(stderr, "skyprob: %s\n", code.status().ToString().c_str());
+  return 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   Args args = ParseArgs(argc, argv);
-  if (args.command == "generate") return RunGenerate(args);
-  if (args.command == "solve") return RunSolve(args);
-  if (args.command == "skyline") return RunSkyline(args);
-  if (args.command == "topk") return RunTopK(args);
-  if (args.command == "skycube") return RunSkycube(args);
-  if (args.command == "inspect") return RunInspect(args);
+  if (args.command == "generate") return Exit(RunGenerate(args));
+  if (args.command == "solve") return Exit(RunSolve(args));
+  if (args.command == "skyline") return Exit(RunSkyline(args));
+  if (args.command == "topk") return Exit(RunTopK(args));
+  if (args.command == "skycube") return Exit(RunSkycube(args));
+  if (args.command == "inspect") return Exit(RunInspect(args));
   return Usage();
 }
